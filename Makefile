@@ -125,7 +125,6 @@ fuzz:
 	go test -fuzz='FuzzFarkasLadder$$' -fuzztime=30s ./internal/linalg/
 	go test -fuzz='FuzzRestrictTInvariants$$' -fuzztime=30s ./internal/invariant/
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/
-	go test -fuzz='FuzzFingerprintSoundness$$' -fuzztime=30s ./internal/core/
 
 examples:
 	go run ./examples/quickstart

@@ -168,33 +168,6 @@ func BenchmarkReduceSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkDedupClasses isolates the isomorphism-class partition on the
-// atmserver reduction set: restriction-exact short-circuit, fingerprint
-// bucketing, and the WL escalation for whatever buckets remain.
-func BenchmarkDedupClasses(b *testing.B) {
-	m := atm.New()
-	reds, err := core.EnumerateDistinctReductions(m.Net, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(len(reds)), "reductions")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Fresh reductions each round: the class partition's cost lives in
-		// the lazy per-reduction caches (fingerprint, subnet, WL hash), so
-		// reusing warmed reductions would measure only map assembly.
-		if i > 0 {
-			if reds, err = core.EnumerateDistinctReductions(m.Net, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := core.DedupClasses(m.Net, reds, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTableIQSS reproduces the QSS column of Table I: the 2-task
 // implementation driven by the 50-cell testbench.
 func BenchmarkTableIQSS(b *testing.B) {

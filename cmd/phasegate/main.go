@@ -13,11 +13,11 @@
 // The gate compares both total milliseconds and invocation counts per
 // phase. Counts are deterministic for a fixed corpus, so the count gate
 // (-max-count-regress) is tight: it catches algorithmic regressions —
-// e.g. the reduction-class dedup silently degrading so every member is
-// checked from scratch again — that a host-relative time factor could
-// absorb, and it applies to every baseline phase: a detail phase whose
-// total sits under -floor-ms (core/dedup/wl when nearly all reductions
-// dodge the WL run) still has its count gated. Only the time comparison
+// e.g. the distinct-reduction enumeration silently keeping duplicates so
+// core/check runs once per allocation again — that a host-relative time
+// factor could absorb, and it applies to every baseline phase: a detail
+// phase whose total sits under -floor-ms (core/cycle, whose searches
+// take microseconds) still has its count gated. Only the time comparison
 // honours the floor — sub-millisecond totals are dominated by timer
 // noise — and the default time factor of 2 leaves room for host-speed
 // differences while still catching the order-of-magnitude slips the
@@ -120,9 +120,9 @@ func run(args []string, stdout io.Writer) error {
 	// The time gate only applies above the floor — sub-millisecond phases
 	// are timer noise. Counts are deterministic for a fixed corpus, so the
 	// count gate applies to every baseline phase regardless of floor: a
-	// detail phase like core/dedup/wl can hold microseconds yet its count
-	// is exactly the signal (how many reductions escalated to a full WL
-	// run) the gate exists to pin.
+	// detail phase like core/cycle can hold microseconds yet its count is
+	// exactly the signal (how many reductions reached the cycle search)
+	// the gate exists to pin.
 	var failures []string
 	checked := 0
 	for _, b := range base.Phases {

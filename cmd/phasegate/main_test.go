@@ -55,7 +55,7 @@ func TestPhaseGatePassAndFail(t *testing.T) {
 	}
 
 	// Count regression at unchanged time: core/check jumping 110 → 580
-	// (the dedup silently disabled) must fail even though the time factor
+	// (duplicate reductions silently kept) must fail even though the time factor
 	// would pass it on a faster host.
 	uncollapsed := fakeReport(t, dir, "uncollapsed.json", 100, 80, 580)
 	buf.Reset()

@@ -105,29 +105,3 @@ func TestExploreCancelled(t *testing.T) {
 		t.Fatalf("explore ignored cancellation: %v", err)
 	}
 }
-
-// TestDedupClassesCancelled closes the dedup cancellation gap: the class
-// grouping hashes whole reduction sets and must observe a cancelled
-// context between its stages instead of running the batch to completion —
-// and the error must preserve the installed cause.
-func TestDedupClassesCancelled(t *testing.T) {
-	n := figures.Figure5()
-	reds, err := EnumerateDistinctReductions(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reds) < 2 {
-		t.Fatalf("corpus net yields %d reductions, need ≥ 2 for the dedup to run", len(reds))
-	}
-	_, derr := dedupClasses(reds, Options{Ctx: cancelledCtx(t)}, checkAids{})
-	if derr == nil {
-		t.Fatal("dedupClasses with cancelled ctx returned no error")
-	}
-	if !errors.Is(derr, errDeadline) {
-		t.Fatalf("cause lost through dedupClasses: %v", derr)
-	}
-	// The sweep wrapper must surface it too, not misread stub state.
-	if _, serr := solveReductions(n, reds, Options{Ctx: cancelledCtx(t)}, checkAids{}); !errors.Is(serr, errDeadline) {
-		t.Fatalf("solveReductions swallowed the dedup cancellation: %v", serr)
-	}
-}

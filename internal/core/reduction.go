@@ -14,9 +14,8 @@ import (
 // The reduction is stored compactly as kept-node bitsets over the parent
 // net plus the removal log in (opcode, node) form. The induced subnet Net —
 // name lookups, string keys, arc-by-arc Builder calls — is materialised
-// lazily by Subnet(): the enumeration, pruning and fingerprint-bucketing
-// loops of the solver sweep thousands of reductions per solve and most of
-// them never need a materialised Net at all.
+// lazily by Subnet(): the enumeration loop builds thousands of reductions
+// per solve and only the distinct ones ever need a materialised Net.
 type Reduction struct {
 	// Allocation is the choice resolution this reduction corresponds to.
 	Allocation *Allocation
@@ -30,8 +29,6 @@ type Reduction struct {
 	sub     *petri.Subnet
 	keyOnce sync.Once
 	key     string
-	fpOnce  sync.Once
-	fp      uint64
 }
 
 // reduceStep is one removal of the reduction algorithm in compact form;
@@ -125,40 +122,6 @@ func (r *Reduction) TransitionSetKey() string {
 		r.key = string(key)
 	})
 	return r.key
-}
-
-// Fingerprint returns the reduction's cheap isomorphism-invariant
-// fingerprint (petri.InducedFingerprint over the kept-node bitsets),
-// memoised. Equal canonical hashes imply equal fingerprints, so the dedup
-// can bucket on it before any Weisfeiler–Lehman refinement runs.
-func (r *Reduction) Fingerprint() uint64 {
-	r.fpOnce.Do(func() { r.fp = r.net.InducedFingerprint(r.keptT, r.keptP) })
-	return r.fp
-}
-
-// restrictionExact reports whether every place adjacent to a kept
-// transition is kept — exactly invariant.RestrictTInvariants' exactness
-// precondition, checkable in O(arcs) from the bitsets alone. When it holds
-// the reduction's minimal T-semiflows restrict from the parent's, so the
-// dedup sweep can skip the isomorphism machinery for this reduction
-// entirely: its check is already Farkas-free.
-func (r *Reduction) restrictionExact() bool {
-	for t := 0; t < r.net.NumTransitions(); t++ {
-		if !r.keptT.Has(t) {
-			continue
-		}
-		for _, a := range r.net.Pre(petri.Transition(t)) {
-			if !r.keptP.Has(int(a.Place)) {
-				return false
-			}
-		}
-		for _, a := range r.net.Post(petri.Transition(t)) {
-			if !r.keptP.Has(int(a.Place)) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // KeptTransitionNames lists the surviving transitions by name, for tests.

@@ -64,23 +64,14 @@ type checkAids struct {
 	// inexact.
 	parentTIs  []invariant.TInvariant
 	haveParent bool
-	// pre short-circuits invariant computation entirely: the caller
-	// already holds this subnet's minimal T-semiflows (the dedup fan-out
-	// maps a class representative's invariants through the canonical
-	// isomorphism). Must equal what a from-scratch run would return.
-	pre     []invariant.TInvariant
-	havePre bool
 }
 
-// subnetInvariants resolves a reduction's minimal T-semiflows from the
-// cheapest available source: precomputed, restricted from the parent, or
-// from scratch. All three produce identical output (the byte-identity
-// invariant of the sweep); the core/semiflow/* counters record which path
-// ran so the restriction fallback rate stays visible in traces.
+// subnetInvariants resolves a reduction's minimal T-semiflows by exact
+// restriction of the parent's when the sweep shares them, or from scratch.
+// Both produce identical output (the byte-identity invariant of the
+// sweep); the core/semiflow/* counters record which path ran so the
+// restriction fallback rate stays visible in traces.
 func subnetInvariants(n *petri.Net, red *Reduction, opt Options, aids checkAids) ([]invariant.TInvariant, error) {
-	if aids.havePre {
-		return aids.pre, nil
-	}
 	if aids.haveParent {
 		if tis, ok := invariant.RestrictTInvariants(n, red.Subnet(), aids.parentTIs); ok {
 			opt.Trace.Add("core/semiflow/restricted", 1)

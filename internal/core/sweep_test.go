@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"fcpn/internal/invariant"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
+	"fcpn/internal/trace"
 )
 
 // distillSolve runs Solve and flattens everything observable about the
@@ -66,34 +69,179 @@ func equivalenceCorpus(t *testing.T) map[string]*petri.Net {
 	return nets
 }
 
-func TestDedupMatchesFromScratch(t *testing.T) {
-	// The canonical-hash dedup must be invisible in the output: same
-	// cycles, same reports (including the mapped invariants, byte for
-	// byte), same diagnosed failing reduction — across worker counts.
-	for name, n := range equivalenceCorpus(t) {
-		base := distillSolve(t, n, Options{KeepIsomorphicDuplicates: true, NoPrune: true})
-		for _, opt := range []Options{
-			{},
-			{Workers: 4},
-			{NoPrune: true},
-			{Workers: 3, KeepIsomorphicDuplicates: true},
-		} {
-			if got := distillSolve(t, n, opt); got != base {
-				t.Errorf("%s: %+v diverges from scratch solve:\n got: %s\nwant: %s", name, opt, got, base)
-			}
+// sweepCorpus is equivalenceCorpus plus every free-choice net in
+// examples/nets, which include the unschedulable figure3b and figure7 as
+// parsed from text.
+func sweepCorpus(t *testing.T) map[string]*petri.Net {
+	t.Helper()
+	nets := equivalenceCorpus(t)
+	files, err := filepath.Glob("../../examples/nets/*.pn")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example nets: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		n, err := petri.ParseString(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if n.Validate() == nil {
+			nets["file:"+filepath.Base(f)] = n
+		}
+	}
+	return nets
+}
+
+// sweepCase is one row of the sweep table: a corpus net, the options the
+// engine would pass, and the distinct reductions it would enumerate.
+type sweepCase struct {
+	name string
+	n    *petri.Net
+	opt  Options
+	reds []*Reduction
+}
+
+// forEachSweep runs check on every net of sweepCorpus, serially and with
+// four workers. The sweep has one path — Solve enumerates the distinct
+// reductions and hands them to SolveReductions, which checks every one —
+// and the tests below each pin one property of it over the same table.
+// Their names predate the single sweep; each now checks what survives of
+// the layer it once covered.
+func forEachSweep(t *testing.T, check func(t *testing.T, c sweepCase)) {
+	t.Helper()
+	nets := sweepCorpus(t)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"serial", 1},
+		{"workers4", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for name, n := range nets {
+				reds, err := EnumerateDistinctReductions(n, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				check(t, sweepCase{name: name, n: n, opt: Options{Workers: tc.workers}, reds: reds})
+			}
+		})
+	}
+}
+
+func TestDedupMatchesFromScratch(t *testing.T) {
+	// The engine calls EnumerateDistinctReductions and SolveReductions
+	// itself, so Solve must match that call sequence byte for byte —
+	// schedule or diagnosis — serially and in parallel. The deprecated
+	// NoPrune switch must change nothing.
+	forEachSweep(t, func(t *testing.T, c sweepCase) {
+		engine := distillOutcome(SolveReductions(c.n, c.reds, c.opt))
+		if direct := distillSolve(t, c.n, c.opt); direct != engine {
+			t.Errorf("%s: Solve diverges from enumerate + SolveReductions:\n got: %s\nwant: %s", c.name, direct, engine)
+		}
+		noPrune := c.opt
+		noPrune.NoPrune = true
+		if got := distillSolve(t, c.n, noPrune); got != engine {
+			t.Errorf("%s: NoPrune changed the outcome:\n got: %s\nwant: %s", c.name, got, engine)
+		}
+	})
+}
+
+func TestDedupCountersAndClasses(t *testing.T) {
+	// Every distinct reduction is its own class: the sweep checks each one
+	// exactly once (one core/check span apiece) and a schedule carries one
+	// report per reduction. DedupClasses reports no grouping.
+	forEachSweep(t, func(t *testing.T, c sweepCase) {
+		tr := trace.New()
+		traced := c.opt
+		traced.Trace = tr
+		s, err := SolveReductions(c.n, c.reds, traced)
+		if ps, _ := tr.Report().Phase("core/check"); ps.Count != int64(len(c.reds)) {
+			t.Errorf("%s: core/check count %d, want one per distinct reduction (%d)", c.name, ps.Count, len(c.reds))
+		}
+		var nse *NotSchedulableError
+		switch {
+		case err == nil:
+			if len(s.Reports) != len(c.reds) {
+				t.Errorf("%s: %d reports, want one per reduction (%d)", c.name, len(s.Reports), len(c.reds))
+			}
+		case !errors.As(err, &nse):
+			t.Errorf("%s: sweep failed: %v", c.name, err)
+		}
+		if classOf, cerr := DedupClasses(c.n, c.reds, c.opt); classOf != nil || cerr != nil {
+			t.Errorf("%s: DedupClasses = %v, %v; want nil, nil", c.name, classOf, cerr)
+		}
+	})
+}
+
+func TestDedupClassesCancelled(t *testing.T) {
+	// A cancelled sweep must stop and surface the caller's cause rather
+	// than run the batch to completion.
+	forEachSweep(t, func(t *testing.T, c sweepCase) {
+		cancelled := c.opt
+		cancelled.Ctx = cancelledCtx(t)
+		if _, err := SolveReductions(c.n, c.reds, cancelled); !errors.Is(err, errDeadline) {
+			t.Errorf("%s: cancelled sweep lost the cause: %v", c.name, err)
+		}
+	})
+}
+
+func TestPruneMatchesUnprunedVerdict(t *testing.T) {
+	// The paper's unoptimised sweep (KeepDuplicateReductions: one reduction
+	// per allocation) must reach the same verdict as the distinct sweep.
+	forEachSweep(t, func(t *testing.T, c sweepCase) {
+		if CountAllocations(c.n) > 4096 {
+			return
+		}
+		_, err := SolveReductions(c.n, c.reds, c.opt)
+		keep := c.opt
+		keep.KeepDuplicateReductions = true
+		if _, kerr := Solve(c.n, keep); (kerr == nil) != (err == nil) {
+			t.Errorf("%s: KeepDuplicateReductions verdict err=%v, sweep err=%v", c.name, kerr, err)
+		}
+	})
+}
+
+func TestPrunedEnumerationRecordsBranches(t *testing.T) {
+	// Figures 3b and 7 are the paper's non-schedulable nets: parsed from
+	// examples/nets, the sweep must diagnose a reduction that fails
+	// Definition 3.5. Figure 3a keeps both of its reductions.
+	unschedulable := map[string]bool{}
+	forEachSweep(t, func(t *testing.T, c sweepCase) {
+		_, err := SolveReductions(c.n, c.reds, c.opt)
+		var nse *NotSchedulableError
+		if errors.As(err, &nse) {
+			if nse.Report.Schedulable {
+				t.Errorf("%s: diagnosed reduction is schedulable", c.name)
+			}
+			unschedulable[c.name] = true
+		}
+	})
+	for _, name := range []string{"file:figure3b.pn", "file:figure7.pn"} {
+		if !unschedulable[name] {
+			t.Errorf("%s: want a not-schedulable diagnosis", name)
+		}
+	}
+	reds, err := EnumerateDistinctReductions(figures.Figure3a(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reds) != 2 {
+		t.Fatalf("figure 3a: %d reductions, want 2", len(reds))
 	}
 }
 
 func TestSweepPathsByteIdentical(t *testing.T) {
-	// The schedulability sweep resolves each reduction's invariants through
-	// one of three paths — restriction-exact own-representative checks
-	// (parent aids present), fingerprint-singleton + Weisfeiler–Lehman
-	// class checks with per-member fan-out (no aids), or from-scratch
-	// Farkas runs — and the whole point of the machinery is that the choice
-	// is invisible in the output. Running the same reduction set through
-	// the sweep with and without parent aids must produce byte-identical
-	// schedules, including every report's invariant set.
+	// The schedulability sweep resolves each reduction's invariants either
+	// by restricting the parent's semiflows (parent aids present, with a
+	// Farkas fallback when restriction is inexact) or by from-scratch
+	// Farkas runs (no aids), and the choice must be invisible in the
+	// output. Running the same reduction set through the sweep with and
+	// without parent aids must produce byte-identical schedules, including
+	// every report's invariant set.
 	for name, n := range equivalenceCorpus(t) {
 		reds, err := EnumerateDistinctReductions(n, 0)
 		if err != nil {
@@ -112,80 +260,6 @@ func TestSweepPathsByteIdentical(t *testing.T) {
 		if parallel != withAids {
 			t.Errorf("%s: parallel sweep diverges from serial:\n got: %s\nwant: %s", name, parallel, withAids)
 		}
-	}
-}
-
-func TestPruneMatchesUnprunedVerdict(t *testing.T) {
-	// The prune cut may pick a different failing reduction as its witness,
-	// but the verdict — schedulable or not — and every schedulable
-	// schedule must match the exhaustive search exactly.
-	for name, n := range equivalenceCorpus(t) {
-		pruned, prunedErr := Solve(n, Options{})
-		full, fullErr := Solve(n, Options{NoPrune: true})
-		if (prunedErr == nil) != (fullErr == nil) {
-			t.Fatalf("%s: pruned err=%v, unpruned err=%v", name, prunedErr, fullErr)
-		}
-		if prunedErr != nil {
-			var nse *NotSchedulableError
-			if !errors.As(prunedErr, &nse) || nse.Report.Schedulable {
-				t.Fatalf("%s: pruned diagnosis malformed: %v", name, prunedErr)
-			}
-			continue
-		}
-		a := distillSolve(t, n, Options{})
-		b := distillSolve(t, n, Options{NoPrune: true})
-		if a != b {
-			t.Errorf("%s: pruned schedule diverges:\n got: %s\nwant: %s", name, a, b)
-		}
-		_ = pruned
-		_ = full
-	}
-}
-
-func TestPrunedEnumerationRecordsBranches(t *testing.T) {
-	// Figure 3b is the paper's canonical non-schedulable net: t4 needs
-	// both branches of the choice, so no parent T-semiflow survives either
-	// forced exclusion and the lazy search is cut at the first fork.
-	n := figures.Figure3b()
-	parentTIs, err := invariant.TInvariants(n, invariant.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reds, prunes, err := EnumerateDistinctReductionsPruned(nil, n, 0, parentTIs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prunes) == 0 {
-		t.Fatalf("no branches pruned (reductions=%d): want the unschedulable branches cut", len(reds))
-	}
-	srcs := map[petri.Transition]bool{}
-	for _, s := range n.SourceTransitions() {
-		srcs[s] = true
-	}
-	for _, pb := range prunes {
-		if pb.Witness == nil {
-			t.Fatal("pruned branch without witness reduction")
-		}
-		if !srcs[pb.Source] {
-			t.Fatalf("pruned branch names non-source transition %v", pb.Source)
-		}
-		rep := CheckReduction(n, pb.Witness, Options{})
-		if rep.Schedulable {
-			t.Fatalf("figure 3b witness must fail Definition 3.5, got schedulable")
-		}
-	}
-	// The prune must not have eaten schedulable work on a schedulable net.
-	n3a := figures.Figure3a()
-	tis3a, err := invariant.TInvariants(n3a, invariant.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reds3a, prunes3a, err := EnumerateDistinctReductionsPruned(nil, n3a, 0, tis3a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prunes3a) != 0 || len(reds3a) != 2 {
-		t.Fatalf("figure 3a: reductions=%d prunes=%d, want 2/0", len(reds3a), len(prunes3a))
 	}
 }
 
@@ -287,44 +361,5 @@ func TestCoveringCombinationIncompleteCover(t *testing.T) {
 	// An empty invariant set leaves everything uncovered.
 	if _, uncovered := coveringCombination(nil, 2); len(uncovered) != 2 {
 		t.Fatalf("empty set: uncovered = %v, want both transitions", uncovered)
-	}
-}
-
-func TestDedupCountersAndClasses(t *testing.T) {
-	// The ATM model collapses 56 distinct reductions into far fewer
-	// isomorphism classes; the sweep must record the split and still
-	// produce one report per reduction.
-	n := netgen.RandomSchedulablePipeline(4, netgen.DefaultConfig())
-	reds, err := EnumerateDistinctReductions(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No parent aids: every reduction goes through the fingerprint buckets,
-	// so the Weisfeiler–Lehman escalation path is what this test exercises.
-	classOf, err := dedupClasses(reds, Options{}, checkAids{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if classOf == nil {
-		t.Skip("seed produced no isomorphic duplicates")
-	}
-	classes := 0
-	for i, r := range classOf {
-		if r == i {
-			classes++
-		}
-		if reds[r].Subnet().Net.CanonicalHash() != reds[i].Subnet().Net.CanonicalHash() {
-			t.Fatalf("class member %d hashed differently from its representative %d", i, r)
-		}
-	}
-	if classes >= len(reds) {
-		t.Fatalf("classes=%d of %d reductions: dedup found nothing", classes, len(reds))
-	}
-	s, err := Solve(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Reports) != len(reds) {
-		t.Fatalf("reports=%d, want one per reduction (%d)", len(s.Reports), len(reds))
 	}
 }

@@ -235,11 +235,6 @@ func (e *Engine) coreOpts(ctx context.Context, tr *trace.Tracer) core.Options {
 	opt.Semiflows = semiflowCache{e.cache}
 	opt.Trace = tr
 	opt.Ctx = ctx
-	// The prune cut can change which failing reduction Solve diagnoses.
-	// The engine's cold path sweeps the reduction set it enumerated for
-	// the report (SolveReductions); its warm Solve fallback must produce
-	// the same diagnosis byte for byte, so pruning stays off here.
-	opt.NoPrune = true
 	if opt.Workers == 0 {
 		opt.Workers = e.workers
 	}
@@ -490,6 +485,8 @@ type cachedCycle struct {
 // reductions() already enumerated on it this job: the miss path sweeps
 // that set directly instead of re-enumerating. Nil — the warm path, or a
 // caller without the set — rebuilds the twin and solves from scratch.
+// Solve is that same enumeration followed by SolveReductions, so both
+// paths diagnose the same failing reduction byte for byte.
 func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, fresh *twinReds, tr *trace.Tracer) (*core.Schedule, error) {
 	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
 		tw := fresh

@@ -3,11 +3,11 @@ package linalg
 import "testing"
 
 // FuzzFarkasLadder differentially fuzzes the Farkas ladder: on arbitrary
-// systems the int64 and int128 tiers must either refuse (escalate) or
-// reproduce the big.Int reference exactly — same rows, same order, same
-// row-cap verdict — and the public MinimalSemiflows entry point must
-// always agree with the reference. scale shifts the coefficients up to
-// ~2⁴⁶ so the fuzzer reaches every rung, not just the int64 tier.
+// systems the int64 tier must either refuse (escalate) or reproduce the
+// big.Int reference exactly — same rows, same order, same row-cap verdict
+// — and the public MinimalSemiflows entry point must always agree with the
+// reference. scale shifts the coefficients up to ~2⁴⁶ so the fuzzer
+// reaches the big.Int fallback, not just the int64 tier.
 func FuzzFarkasLadder(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(0), []byte{131, 127, 128, 128, 130, 127})
 	f.Add(uint8(1), uint8(2), uint8(39), []byte{255, 0})
@@ -33,21 +33,15 @@ func FuzzFarkasLadder(f *testing.F) {
 		const maxRows = 2000
 		ref, refOK := minimalSemiflowsBig(a, maxRows)
 
-		check := func(tier string, out []Vec, capped, ok bool) {
-			if !ok {
-				return // legitimate escalation; the next rung answers
-			}
+		// ok=false is a legitimate escalation: big.Int answers instead.
+		if out, capped, ok := minimalSemiflowsInt(a, maxRows); ok {
 			if capped == refOK {
-				t.Fatalf("%s tier capped=%v but reference ok=%v\nA:\n%s", tier, capped, refOK, a)
+				t.Fatalf("int64 tier capped=%v but reference ok=%v\nA:\n%s", capped, refOK, a)
 			}
 			if !capped && !vecsEqual(out, ref) {
-				t.Fatalf("%s tier diverges\nA:\n%s\ntier: %v\nref:  %v", tier, a, out, ref)
+				t.Fatalf("int64 tier diverges\nA:\n%s\ntier: %v\nref:  %v", a, out, ref)
 			}
 		}
-		out, capped, ok := minimalSemiflowsInt(a, maxRows)
-		check("int64", out, capped, ok)
-		out, capped, ok = minimalSemiflowsInt128(a, maxRows)
-		check("int128", out, capped, ok)
 
 		got, gotOK := MinimalSemiflows(a, maxRows)
 		if gotOK != refOK {

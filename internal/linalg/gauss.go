@@ -8,29 +8,21 @@ import (
 
 // Rank computes the rank of the matrix by fraction-free Gaussian
 // elimination (Bareiss-style pivoting). Arithmetic runs on the same
-// machine-integer ladder as the Farkas enumeration: an int64 tier, a
-// 128-bit-combination tier, then exact big.Int. Rank is arithmetic-
-// representation independent, so every tier that completes returns the
-// same answer; a tier whose entries outgrow its safe range aborts and
-// the next one reruns the elimination from scratch.
+// two-tier ladder as the Farkas enumeration: int64, then exact big.Int.
+// Rank is arithmetic-representation independent, so both tiers return the
+// same answer; when the int64 tier's entries outgrow its safe range it
+// aborts and big.Int reruns the elimination from scratch.
 func Rank(m *Mat) int { return RankTraced(m, nil) }
 
 // RankTraced is Rank with tier-residency tracing: the ladder tiers that
-// run record "linalg/int64" / "linalg/int128" / "linalg/bigint" detail
-// spans, matching MinimalSemiflowsTraced. A nil tracer disables
-// collection.
+// run record "linalg/int64" / "linalg/bigint" detail spans, matching
+// MinimalSemiflowsTraced. A nil tracer disables collection.
 func RankTraced(m *Mat, tr *trace.Tracer) int {
 	if m.Rows == 0 || m.Cols == 0 {
 		return 0
 	}
 	sp := tr.StartDetail("linalg/int64")
-	r, ok := rankMachine(m, intLimit, eliminate64)
-	sp.End()
-	if ok {
-		return r
-	}
-	sp = tr.StartDetail("linalg/int128")
-	r, ok = rankMachine(m, int128Limit, eliminate128)
+	r, ok := rankInt(m)
 	sp.End()
 	if ok {
 		return r
@@ -41,16 +33,10 @@ func RankTraced(m *Mat, tr *trace.Tracer) int {
 	return r
 }
 
-// eliminateFunc performs one Bareiss row annihilation in place:
-// dst[j] = pv·dst[j] − factor·pivot[j] for j ≥ col, followed by GCD
-// normalisation of the row. It reports ok=false when any normalised
-// entry leaves the tier's safe range.
-type eliminateFunc func(dst, pivot []int64, pv, factor int64, col int) bool
-
-// rankMachine runs the Bareiss elimination on machine-integer rows,
-// giving up (ok=false) when the input or any intermediate leaves
-// [−limit, limit].
-func rankMachine(m *Mat, limit int64, eliminate eliminateFunc) (int, bool) {
+// rankInt runs the Bareiss elimination on int64 rows, giving up
+// (ok=false) when the input or any intermediate leaves
+// [−intLimit, intLimit].
+func rankInt(m *Mat) (int, bool) {
 	work := make([][]int64, m.Rows)
 	for i, r := range m.Data {
 		row := make([]int64, m.Cols)
@@ -59,7 +45,7 @@ func rankMachine(m *Mat, limit int64, eliminate eliminateFunc) (int, bool) {
 				return 0, false
 			}
 			v := x.Int64()
-			if v > limit || v < -limit {
+			if v > intLimit || v < -intLimit {
 				return 0, false
 			}
 			row[j] = v
@@ -85,7 +71,7 @@ func rankMachine(m *Mat, limit int64, eliminate eliminateFunc) (int, bool) {
 			if work[i][col] == 0 {
 				continue
 			}
-			if !eliminate(work[i], work[rank], pv, work[i][col], col) {
+			if !eliminate64(work[i], work[rank], pv, work[i][col], col) {
 				return 0, false
 			}
 		}
@@ -95,7 +81,9 @@ func rankMachine(m *Mat, limit int64, eliminate eliminateFunc) (int, bool) {
 	return rank, true
 }
 
-// eliminate64 is the int64 tier's annihilation: |pv|, |factor| and every
+// eliminate64 is the int64 tier's Bareiss row annihilation in place,
+// dst[j] = pv·dst[j] − factor·pivot[j] for j ≥ col, followed by GCD
+// normalisation of the row: |pv|, |factor| and every
 // entry are ≤ intLimit = 2³⁰, so pv·dst − factor·pivot is below 2⁶¹ and
 // native arithmetic cannot wrap. Entries beyond intLimit after GCD
 // normalisation abort the tier. (Columns left of col are already zero in
@@ -117,40 +105,6 @@ func eliminate64(dst, pivot []int64, pv, factor int64, col int) bool {
 		if x > intLimit || x < -intLimit {
 			return false
 		}
-	}
-	return true
-}
-
-// eliminate128 is the 128-bit tier's annihilation: entries are ≤
-// int128Limit = 2⁶², products below 2¹²⁴ and the difference below 2¹²⁵,
-// exact in signed 128-bit arithmetic. Normalised entries must refit into
-// [−int128Limit, int128Limit] or the tier aborts.
-func eliminate128(dst, pivot []int64, pv, factor int64, col int) bool {
-	wide := make([]i128, len(dst)-col)
-	var g u128
-	for j := col; j < len(dst); j++ {
-		v := mul64(pv, dst[j]).add(mul64(factor, pivot[j]).neg())
-		wide[j-col] = v
-		g = gcd128(g, v.abs())
-	}
-	divide := !g.isZero() && !g.isOne()
-	if divide && g.hi != 0 {
-		return false
-	}
-	for j := col; j < len(dst); j++ {
-		v := wide[j-col]
-		q := v.abs()
-		if divide {
-			q = q.div64(g.lo)
-		}
-		if q.hi != 0 || q.lo > uint64(int128Limit) {
-			return false
-		}
-		x := int64(q.lo)
-		if v.sign() < 0 {
-			x = -x
-		}
-		dst[j] = x
 	}
 	return true
 }
