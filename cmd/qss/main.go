@@ -244,21 +244,22 @@ func runTimingSafety(stdout io.Writer, syn *fcpn.Synthesis, mkStr, marginStr str
 		return sim.Hooks{Resolver: sim.NewDecisionStream(net, seed).Resolver()}
 	}
 
-	if deadline == 0 {
-		deadline, err = sim.CalibrateDeadline(syn.Program, base, cost,
-			sim.RobustConfig{CyclesPerTick: 1}, hooks(), sim.DefaultDeadlineFactor)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "timing: deadline calibrated to %d cycles (%dx nominal worst response)\n",
-			deadline, sim.DefaultDeadlineFactor)
-	}
-	rm, err := sim.RunRobust(syn.Program, base, cost,
-		sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline, MK: c}, hooks())
+	// One fault-free run calibrates the deadline (when none is given),
+	// gives the nominal verdict and answers level 0 of every margin search.
+	nom, err := sim.RunNominal(syn.Program, base, cost, sim.MarginConfig{
+		MK:     c,
+		Seed:   seed,
+		Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline},
+		Hooks:  hooks,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "timing: %s\n", rm.Timing)
+	if deadline == 0 {
+		fmt.Fprintf(stdout, "timing: deadline calibrated to %d cycles (%dx nominal worst response)\n",
+			nom.Deadline, sim.DefaultDeadlineFactor)
+	}
+	fmt.Fprintf(stdout, "timing: %s\n", nom.Verdict)
 
 	if marginStr != "" {
 		for _, name := range strings.Split(marginStr, ",") {
@@ -266,20 +267,14 @@ func runTimingSafety(stdout io.Writer, syn *fcpn.Synthesis, mkStr, marginStr str
 			if err != nil {
 				return err
 			}
-			om, err := sim.SearchOverloadMargin(syn.Program, base, cost, sim.MarginConfig{
-				Kind:   kind,
-				MK:     c,
-				Seed:   seed,
-				Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline},
-				Hooks:  hooks,
-			})
+			om, err := nom.SearchMargin(kind, 0)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "  margin %-8s %s\n", om.Kind+":", om.Result)
 		}
 	}
-	if !rm.Timing.Satisfied {
+	if !nom.Verdict.Satisfied {
 		return fmt.Errorf("timing: weakly-hard constraint %s violated", c)
 	}
 	return nil

@@ -189,14 +189,19 @@ func RunRobustness(cfg RobustnessConfig, cost rtos.CostModel) (*RobustnessReport
 			return nil, fmt.Errorf("atm: %w", err)
 		}
 		if deadline == 0 {
+			// The calibrating run keeps the idealised unbounded queue, while
+			// the margin probes below run the configured one, so it cannot
+			// double as their level 0.
 			nominal := NewWorkload(m, cfg.Workload).Events
-			deadline, err = sim.CalibrateDeadline(prog, nominal, cost, sim.RobustConfig{
-				CyclesPerTick: cfg.CyclesPerTick,
-				StepBudget:    cfg.StepBudget,
-			}, hooks(), sim.DefaultDeadlineFactor)
+			nom, err := sim.RunNominal(prog, nominal, cost, sim.MarginConfig{
+				MK:     cfg.MK,
+				Robust: sim.RobustConfig{CyclesPerTick: cfg.CyclesPerTick, StepBudget: cfg.StepBudget},
+				Hooks:  hooks,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("atm: calibrating deadline: %w", err)
 			}
+			deadline = nom.Deadline
 		}
 		report.Timing = &TimingSafety{MK: cfg.MK.String(), Deadline: deadline}
 	}

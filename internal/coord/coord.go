@@ -342,19 +342,21 @@ func (c *Coordinator) owner(hash string) int {
 // closed, else — deterministically — the next closed backend in ring
 // order (a failover). With no closed backend it settles for a
 // half-open one (the probe may have just revived it); with none at all
-// it returns nil and the caller degrades.
-func (c *Coordinator) pick(ownerIdx int, exclude *backend) (*backend, bool) {
+// it returns nil and the caller degrades. avoid (the backend a retry
+// just failed on, or a hedge's primary) is chosen only when no other
+// backend is live.
+func (c *Coordinator) pick(ownerIdx int, avoid *backend) (*backend, bool) {
 	n := len(c.backends)
 	for _, wantState := range []int32{stClosed, stHalfOpen} {
 		for i := 0; i < n; i++ {
 			b := c.backends[(ownerIdx+i)%n]
-			if b == exclude {
-				continue
-			}
-			if b.state.Load() == wantState {
+			if b != avoid && b.state.Load() == wantState {
 				return b, b != c.backends[ownerIdx]
 			}
 		}
+	}
+	if avoid != nil && avoid.state.Load() != stOpen {
+		return avoid, avoid != c.backends[ownerIdx]
 	}
 	return nil, false
 }
@@ -531,7 +533,7 @@ func (c *Coordinator) sendHedged(ctx context.Context, primary *backend, ownerIdx
 	case <-timer.C:
 	}
 	alt, _ := c.pick(ownerIdx, primary)
-	if alt == nil {
+	if alt == nil || alt == primary {
 		return <-results, false
 	}
 	c.cHedges.Add(1)
@@ -562,7 +564,7 @@ func (c *Coordinator) analyzeUpstream(ctx context.Context, hash string, body []b
 	ownerIdx := c.owner(hash)
 	var last exchange
 	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
-		target, fo := c.pick(ownerIdx, nil)
+		target, fo := c.pick(ownerIdx, last.b)
 		if target == nil {
 			break // no live backend: degrade now rather than burn the budget
 		}
@@ -762,7 +764,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var last exchange
 	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
-		target, fo := c.pick(ownerIdx, nil)
+		target, fo := c.pick(ownerIdx, last.b)
 		if target == nil {
 			break
 		}

@@ -474,3 +474,71 @@ func TestCoordDrainRefuses(t *testing.T) {
 		t.Fatalf("draining readyz: %d", resp.StatusCode)
 	}
 }
+
+// TestCoordRetryTarget pins where a retry goes: after a transient failure
+// the next attempt moves to another live backend, closed before
+// half-open, and comes back to the failed one only when no other is live.
+// pick's avoid argument is the backend that just failed.
+func TestCoordRetryTarget(t *testing.T) {
+	c := &Coordinator{backends: []*backend{{url: "b0"}, {url: "b1"}, {url: "b2"}}}
+	b0, b1, b2 := c.backends[0], c.backends[1], c.backends[2]
+	check := func(what string, failed, want *backend) {
+		t.Helper()
+		got, _ := c.pick(0, failed)
+		if got != want {
+			t.Fatalf("%s: retry went to %v, want %v", what, got, want)
+		}
+	}
+	check("first attempt", nil, b0)
+	check("owner failed, others closed", b0, b1)
+	check("failover failed", b1, b0)
+	b1.state.Store(stOpen)
+	check("owner failed, next open", b0, b2)
+	b2.state.Store(stHalfOpen)
+	check("owner failed, only a half-open other", b0, b2)
+	b2.state.Store(stOpen)
+	check("owner failed, no other live", b0, b0)
+	b0.state.Store(stOpen)
+	check("nothing live", b0, nil)
+}
+
+// TestCoordRetryLeavesFailedBackend: the owner keeps its breaker closed
+// (it answers /readyz) but fails every analyze with a transient 503. The
+// retry must reach the healthy backend instead of spending every attempt
+// on the owner.
+func TestCoordRetryLeavesFailedBackend(t *testing.T) {
+	src := petri.Format(figures.Figure5())
+	n, err := petri.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ownerAnalyzes atomic.Int64
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		ownerAnalyzes.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"status":"error","error":"overloaded"}`)
+	}))
+	defer failing.Close()
+	_, healthy := bootBackend(t, server.Config{})
+
+	backends := []string{healthy.URL, healthy.URL}
+	backends[server.PrefixIndex(n.CanonicalHash(), 2)] = failing.URL
+	cfg := fastConfig(backends...)
+	cfg.BreakerThreshold = 100 // one 503 must not open the owner's breaker
+	_, front := bootCoord(t, cfg)
+
+	code, env := postCoord(t, front.URL, src)
+	if code != http.StatusOK || env.Status != "ok" || env.Degraded {
+		t.Fatalf("analyze: code=%d env=%+v", code, env)
+	}
+	if env.Backend != healthy.URL || !env.Failover {
+		t.Fatalf("answer from %s (failover %v), want the healthy backend by failover", env.Backend, env.Failover)
+	}
+	if got := ownerAnalyzes.Load(); got != 1 {
+		t.Fatalf("owner saw %d analyze attempts, want 1", got)
+	}
+}

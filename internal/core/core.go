@@ -223,12 +223,14 @@ func Solve(n *petri.Net, opt Options) (*Schedule, error) {
 func SolveReductions(n *petri.Net, reductions []*Reduction, opt Options) (*Schedule, error) {
 	aids := checkAids{}
 	if !opt.KeepDuplicateReductions && len(reductions) > 0 {
-		// The parent's minimal T-semiflows are computed once per sweep and
-		// restricted to each reduction (invariant.RestrictTInvariants),
-		// which beats a from-scratch Farkas run per reduction. A failed
-		// computation (e.g. invariant.ErrTooComplex) only disables the
-		// sharing: every check falls back to its from-scratch path.
-		if parentTIs, err := invariant.TInvariants(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace}); err == nil {
+		// The parent's minimal T-semiflows are read once per sweep (through
+		// opt.Semiflows) and restricted to each reduction
+		// (invariant.RestrictTInvariants), which beats a from-scratch
+		// Farkas run per reduction. A failed computation (e.g.
+		// invariant.ErrTooComplex) only disables the sharing: every check
+		// falls back to its from-scratch path.
+		iopt := invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace}
+		if parentTIs, err := invariant.TInvariantsCached(n, iopt, opt.Semiflows); err == nil {
 			aids = checkAids{parentTIs: parentTIs, haveParent: true}
 		}
 	}

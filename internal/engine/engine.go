@@ -62,7 +62,9 @@ type Config struct {
 	// CacheCapacity bounds the content-addressed cache (entries across
 	// all layers; ≤ 0 → 4096). Eviction is LRU.
 	CacheCapacity int
-	// Core is the solver configuration applied to every job.
+	// Core is the solver configuration applied to every job. The engine
+	// always sweeps the distinct reductions it reports, so
+	// Core.KeepDuplicateReductions only turns off parent-semiflow sharing.
 	Core core.Options
 	// Timing, when enabled (Timing.MK set), appends a weakly-hard
 	// timing-safety verdict — and optionally overload margins — to every
@@ -467,43 +469,36 @@ type cachedCycle struct {
 }
 
 // schedule returns the net's valid schedule through the cache: on a miss
-// the solver runs (parallel sweep, memoised semiflows) and the result is
-// canonicalised; hit or miss, the returned Schedule is rebuilt from the
-// canonical payload, which is what makes warm results byte-identical to
-// cold ones. Solve failures are returned, never cached.
+// the solver sweeps the net's distinct T-reductions (parallel sweep,
+// memoised semiflows) and the result is canonicalised; hit or miss, the
+// returned Schedule is rebuilt from the canonical payload, which is what
+// makes warm results byte-identical to cold ones. Solve failures are
+// returned, never cached.
 //
 // The miss path never solves the caller's net directly: the solver
-// explores allocations and firings in index order and may return any of
-// several valid schedules, so two isomorphic nets solved as-declared
-// would cache different payloads depending on which arrived first — and
-// two *cold* runs of the same class would diverge. Instead it solves the
-// canonical twin (petri.CanonicalNet), which is byte-identical for every
-// member of the class, making the cached payload a function of the
-// canonical hash alone.
+// explores firings in index order and may return any of several valid
+// schedules, so isomorphic nets solved as-declared would cache payloads
+// that depend on which arrived first. It sweeps the canonical twin
+// (petri.CanonicalNet), identical for every member of the class.
 //
-// fresh, when non-nil, carries the twin and the distinct-reduction set
-// reductions() already enumerated on it this job: the miss path sweeps
-// that set directly instead of re-enumerating. Nil — the warm path, or a
-// caller without the set — rebuilds the twin and solves from scratch.
-// Solve is that same enumeration followed by SolveReductions, so both
-// paths diagnose the same failing reduction byte for byte.
+// There is one miss path: fresh carries the twin-space reductions that
+// reductions() built this job; when nil (the reductions layer hit, or
+// this job waited on another's enumeration) twinReductions rebuilds the
+// same set, so the sweep caches the same schedule either way.
 func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, fresh *twinReds, tr *trace.Tracer) (*core.Schedule, error) {
 	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
 		tw := fresh
 		if tw == nil {
-			tw = &twinReds{net: n.CanonicalNet()}
+			var err error
+			if _, tw, err = twinReductions(ctx, n, cf, e.cfg.Core.MaxAllocations); err != nil {
+				return nil, err
+			}
 		}
-		var s *core.Schedule
-		var err error
-		if tw.reds != nil && !e.cfg.Core.KeepDuplicateReductions {
-			s, err = core.SolveReductions(tw.net, tw.reds, e.coreOpts(ctx, tr))
-		} else {
-			s, err = core.Solve(tw.net, e.coreOpts(ctx, tr))
-		}
+		s, err := core.SolveReductions(tw.net, tw.reds, e.coreOpts(ctx, tr))
 		if err != nil {
 			return nil, err
 		}
-		enc := encodeSchedule(toCachedSchedule(identityForm(tw.net), s))
+		enc := encodeSchedule(toCachedSchedule(tw.net.CanonicalForm(), s))
 		tr.Add("cache/sched/bytes", int64(len(enc)))
 		return enc, nil
 	})
@@ -519,35 +514,25 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 	return rebuildSchedule(n, cf, cs)
 }
 
-// twinReds carries a freshly enumerated distinct-reduction set together
-// with the canonical twin net it was enumerated on, for hand-off from
-// reductions() to schedule() within one cold job.
+// twinReds carries a distinct-reduction set in twin space together with
+// the canonical twin net it belongs to.
 type twinReds struct {
 	net  *petri.Net
 	reds []*core.Reduction
 }
 
-// identityForm is the canonical form of a canonical twin: the twin is
-// built with places and transitions in canonical position order, so its
-// canonical relabelling is the identity by construction. Building it
-// directly spares the twin a second WL refinement pass, which profiling
-// showed roughly tripling the reductions layer.
-func identityForm(n *petri.Net) *petri.CanonicalForm {
-	cf := &petri.CanonicalForm{
-		PlaceAt:  make([]petri.Place, n.NumPlaces()),
-		TransAt:  make([]petri.Transition, n.NumTransitions()),
-		PlacePos: make([]int, n.NumPlaces()),
-		TransPos: make([]int, n.NumTransitions()),
+// twinReductions enumerates n's distinct T-reductions in n's own index
+// order and maps them onto the canonical twin. It returns the local set
+// too, for the reductions layer's report rows. Both cache layers that
+// need reductions build them here, so a schedule computed after a
+// reductions hit sweeps exactly the set a cold job sweeps.
+func twinReductions(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, max int) ([]*core.Reduction, *twinReds, error) {
+	reds, err := core.EnumerateDistinctReductionsCtx(ctx, n, max)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i := range cf.PlaceAt {
-		cf.PlaceAt[i] = petri.Place(i)
-		cf.PlacePos[i] = i
-	}
-	for i := range cf.TransAt {
-		cf.TransAt[i] = petri.Transition(i)
-		cf.TransPos[i] = i
-	}
-	return cf
+	twin := n.CanonicalNet()
+	return reds, &twinReds{net: twin, reds: mapReductionsToTwin(cf, twin, reds)}, nil
 }
 
 func toCachedSchedule(cf *petri.CanonicalForm, s *core.Schedule) *cachedSchedule {
@@ -625,9 +610,11 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, cs *cachedSchedule) 
 // the solver's input depend only on the isomorphism class.
 //
 // Enumerating directly on the twin would also work, but the lazy
-// branching search's cost is sensitive to cluster index order (up to ~4x
-// more Reduce calls on some nets under the canonical order); mapping
-// costs exactly one Reduce per distinct reduction.
+// branching search's cost is sensitive to cluster index order, and
+// mapping costs exactly one Reduce per distinct reduction. On the
+// perfbench corpora (seeds 1-3), enumerating on the twin takes 2.3-3.2x
+// the Reduce calls and 2.4-3.9x the allocation of local enumeration plus
+// mapping on sweep-choice, and 0.93-1.13x the calls on batch-pipeline.
 func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.Reduction) []*core.Reduction {
 	clusters := twin.FreeChoiceSets()
 	clusterOf := map[petri.Place]int{}
@@ -658,25 +645,19 @@ func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.
 
 // reductions returns, per distinct T-reduction, the canonically sorted
 // kept-transition sets, mapped to the net's transitions. The second
-// return is the fresh reduction set in twin space when THIS call
-// computed it (a cache miss this goroutine won): analyze hands it to
-// schedule() so a cold job enumerates reductions exactly once. On hits —
-// and for singleflight waiters — it is nil.
-//
-// Enumeration runs on the caller's net (the search is cheapest in the
-// order the allocation tree was grown for), then the distinct set is
-// mapped onto the canonical twin for the solve, which needs twin-space
-// reductions in class-invariant order.
+// return is the reduction set in twin space when THIS call computed it
+// (a cache miss this goroutine won): analyze hands it to schedule() so a
+// cold job enumerates reductions exactly once. On hits — and for
+// singleflight waiters — it is nil. The set comes from twinReductions,
+// the helper schedule() also uses when it has no fresh set.
 func (e *Engine) reductions(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm) ([][]petri.Transition, *twinReds, error) {
-	max := e.cfg.Core.MaxAllocations
 	var fresh *twinReds
 	v, err := e.cache.getOrCompute("reds:"+cf.Hash, func() (any, error) {
-		reds, err := core.EnumerateDistinctReductionsCtx(ctx, n, max)
+		reds, tw, err := twinReductions(ctx, n, cf, e.cfg.Core.MaxAllocations)
 		if err != nil {
 			return nil, err
 		}
-		twin := n.CanonicalNet()
-		fresh = &twinReds{net: twin, reds: mapReductionsToTwin(cf, twin, reds)}
+		fresh = tw
 		rows := make([][]int, len(reds))
 		for i, r := range reds {
 			kept := r.KeptTransitions()

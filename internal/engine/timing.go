@@ -79,23 +79,15 @@ type TimingReport struct {
 	Margins []*sim.OverloadMargin `json:"margins,omitempty"`
 }
 
-// timingCacheVersion tags the timing layer's payload format (JSON of
-// TimingReport / sim.OverloadMargin). Part of the key, like schedKey.
-const timingCacheVersion = 1
+// timingCacheVersion tags the timing layer's payload format (JSON of the
+// whole TimingReport, margins included). Part of the key, like schedKey.
+const timingCacheVersion = 2
 
-// timingParams renders the option fields that shape a verdict, for keys.
-func timingParams(o TimingOptions) string {
-	return fmt.Sprintf("%d-%d:d%d:e%d:s%d", o.MK.M, o.MK.K, o.Deadline, o.EventsPerSource, o.Seed)
-}
-
-// timingVerdictKey is the cache key of a net's nominal timing verdict.
-func timingVerdictKey(hash string, o TimingOptions) string {
-	return fmt.Sprintf("timing:v%d:%s:%s", timingCacheVersion, timingParams(o), hash)
-}
-
-// timingMarginKey is the cache key of one overload kind's margin search.
-func timingMarginKey(hash string, o TimingOptions, kind sim.OverloadKind) string {
-	return fmt.Sprintf("timing:v%d:margin:%s:c%d:%s:%s", timingCacheVersion, kind, o.MarginCeiling, timingParams(o), hash)
+// timingKey is the cache key of a net's timing report: every option field
+// that shapes the report, then the canonical hash.
+func timingKey(hash string, o TimingOptions) string {
+	return fmt.Sprintf("timing:v%d:%d-%d:d%d:e%d:s%d:m%t%v:c%d:%s", timingCacheVersion, o.MK.M, o.MK.K,
+		o.Deadline, o.EventsPerSource, o.Seed, o.Margin, o.MarginKinds, o.MarginCeiling, hash)
 }
 
 // timingWorkload builds the canonical periodic workload: sources ordered
@@ -154,62 +146,43 @@ func canonResolver(n *petri.Net, cf *petri.CanonicalForm, seed uint64) codegen.C
 	}
 }
 
-// timingPass runs the whole pass for one schedulable net: nominal
-// verdict under the "timing/monitor" span, then (when configured) the
-// margin searches under "timing/margin". Both go through the cache; the
-// report is decoded from the stored payload on hit and miss alike.
+// timingPass runs the whole pass for one schedulable net through one
+// cache entry; the report is decoded from the stored payload on hit and
+// miss alike. A miss times its fault-free run under "timing/monitor" and
+// its margin searches under "timing/margin"; a hit or a singleflight wait
+// books the lookup to "timing/monitor" and closes an empty
+// "timing/margin", so every timed net records one of each.
 func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.Schedule, tp *core.TaskPartition, tr *trace.Tracer) (*TimingReport, error) {
 	opts := e.cfg.Timing.normalized()
-
-	// The program is only needed on cache misses; memoise it per job so a
-	// verdict miss and several margin misses generate code once.
-	var prog *codegen.Program
-	getProg := func() (*codegen.Program, error) {
-		if prog != nil {
-			return prog, nil
-		}
-		var err error
-		prog, err = codegen.Generate(sched, tp)
-		return prog, err
-	}
-	hooks := func() sim.Hooks {
-		return sim.Hooks{Resolver: canonResolver(n, cf, opts.Seed)}
-	}
-	events := timingWorkload(n, cf, opts)
-	cost := rtos.DefaultCostModel()
-
 	sp := tr.Start("timing/monitor")
-	v, err := e.cache.getOrCompute(timingVerdictKey(cf.Hash, opts), func() (any, error) {
-		p, err := getProg()
+	inMargin := false
+	toMargin := func() {
+		sp.End()
+		sp = tr.Start("timing/margin")
+		inMargin = true
+	}
+	v, err := e.cache.getOrCompute(timingKey(cf.Hash, opts), func() (any, error) {
+		prog, err := codegen.Generate(sched, tp)
 		if err != nil {
 			return nil, err
 		}
-		deadline := opts.Deadline
-		if deadline == 0 {
-			deadline, err = sim.CalibrateDeadline(p, events, cost,
-				sim.RobustConfig{CyclesPerTick: 1}, hooks(), sim.DefaultDeadlineFactor)
-			if err != nil {
-				return nil, err
-			}
+		hooks := func() sim.Hooks {
+			return sim.Hooks{Resolver: canonResolver(n, cf, opts.Seed)}
 		}
-		rm, err := sim.RunRobust(p, events, cost,
-			sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline, MK: opts.MK}, hooks())
+		trep, err := checkTiming(prog, timingWorkload(n, cf, opts), opts, hooks, toMargin, tr)
 		if err != nil {
 			return nil, err
 		}
-		enc, err := json.Marshal(&TimingReport{
-			MK:              opts.MK.String(),
-			Deadline:        deadline,
-			EventsPerSource: opts.EventsPerSource,
-			Seed:            opts.Seed,
-			Verdict:         rm.Timing,
-		})
+		enc, err := json.Marshal(trep)
 		if err != nil {
 			return nil, err
 		}
 		tr.Add("cache/timing/bytes", int64(len(enc)))
 		return enc, nil
 	})
+	if opts.Margin && !inMargin {
+		toMargin()
+	}
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -218,40 +191,39 @@ func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.S
 	if err := json.Unmarshal(v.([]byte), trep); err != nil {
 		return nil, fmt.Errorf("engine: timing payload: %w", err)
 	}
+	return trep, nil
+}
 
+// checkTiming simulates one program for the timing report: the one
+// fault-free run (sim.RunNominal), then toMargin and, when opts.Margin
+// is set, one search per kind. hooks builds each run's fresh hooks.
+func checkTiming(prog *codegen.Program, events []rtos.Event, opts TimingOptions, hooks func() sim.Hooks, toMargin func(), tr *trace.Tracer) (*TimingReport, error) {
+	nom, err := sim.RunNominal(prog, events, rtos.DefaultCostModel(), sim.MarginConfig{
+		MK:     opts.MK,
+		Seed:   opts.Seed,
+		Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: opts.Deadline},
+		Hooks:  hooks,
+	})
+	if err != nil {
+		return nil, err
+	}
+	trep := &TimingReport{
+		MK:              opts.MK.String(),
+		Deadline:        nom.Deadline,
+		EventsPerSource: opts.EventsPerSource,
+		Seed:            opts.Seed,
+		Verdict:         nom.Verdict,
+	}
 	if !opts.Margin {
 		return trep, nil
 	}
-	sp = tr.Start("timing/margin")
-	defer sp.End()
+	toMargin()
 	for _, kind := range opts.MarginKinds {
-		kind := kind
-		v, err := e.cache.getOrCompute(timingMarginKey(cf.Hash, opts, kind), func() (any, error) {
-			p, err := getProg()
-			if err != nil {
-				return nil, err
-			}
-			om, err := sim.SearchOverloadMargin(p, events, cost, sim.MarginConfig{
-				Kind:    kind,
-				MK:      opts.MK,
-				Seed:    opts.Seed,
-				Ceiling: opts.MarginCeiling,
-				Robust:  sim.RobustConfig{CyclesPerTick: 1, Deadline: trep.Deadline},
-				Hooks:   hooks,
-			})
-			if err != nil {
-				return nil, err
-			}
-			tr.Add("timing/probes", int64(om.Result.Probes))
-			return json.Marshal(om)
-		})
+		om, err := nom.SearchMargin(kind, opts.MarginCeiling)
 		if err != nil {
 			return nil, err
 		}
-		om := &sim.OverloadMargin{}
-		if err := json.Unmarshal(v.([]byte), om); err != nil {
-			return nil, fmt.Errorf("engine: margin payload: %w", err)
-		}
+		tr.Add("timing/probes", int64(om.Result.Probes))
 		trep.Margins = append(trep.Margins, om)
 	}
 	return trep, nil

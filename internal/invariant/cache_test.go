@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"fcpn/internal/figures"
+	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
 )
 
@@ -123,5 +125,43 @@ func TestCachedEntryPointsNilCache(t *testing.T) {
 	}
 	if _, err := PInvariantsCached(n, Options{}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTInvariantsCachedTwinHitsParentEntry: the canonical twin carries
+// the parent's hash with the identity relabelling, so after the parent
+// fills the cache the twin's lookup hits the parent's entry, and the hit
+// gives exactly the twin's own cold T-semiflows, in the same order.
+func TestTInvariantsCachedTwinHitsParentEntry(t *testing.T) {
+	nets := []*petri.Net{weightedLoop(nil)}
+	for _, n := range figures.All() {
+		nets = append(nets, n)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		nets = append(nets, netgen.RandomSchedulablePipeline(seed, netgen.DefaultConfig()))
+	}
+	for _, n := range nets {
+		c := newMapCache()
+		if _, err := TInvariantsCached(n, Options{}, c); err != nil {
+			t.Fatal(err)
+		}
+		twin := n.CanonicalNet()
+		if h := twin.CanonicalForm().Hash; h != n.CanonicalHash() {
+			t.Fatalf("%s: twin hash %s, parent %s", n.Name(), h, n.CanonicalHash())
+		}
+		got, err := TInvariantsCached(twin, Options{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.hits != 1 {
+			t.Fatalf("%s: twin lookup did not hit the parent's entry (hits=%d)", n.Name(), c.hits)
+		}
+		want, err := TInvariants(twin, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cached twin semiflows %v, cold %v", n.Name(), got, want)
+		}
 	}
 }

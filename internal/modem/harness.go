@@ -83,8 +83,8 @@ func RunTimingSafety(wl WorkloadConfig, cost rtos.CostModel, mk timing.Constrain
 		rtos.Periodic(m.Sample, wl.SamplePeriod, 0, wl.Samples),
 		rtos.Bursty(m.Cmd, wl.CmdMeanGap, wl.Cmds, wl.Seed),
 	)
-	// Fresh line state per run: calibration and every margin probe replay
-	// the same testbench.
+	// Fresh line state per run: the nominal run and every margin probe
+	// replay the same testbench.
 	hooks := func() sim.Hooks {
 		l := NewLine(m)
 		return sim.Hooks{
@@ -100,27 +100,21 @@ func RunTimingSafety(wl WorkloadConfig, cost rtos.CostModel, mk timing.Constrain
 			},
 		}
 	}
-	if deadline == 0 {
-		deadline, err = sim.CalibrateDeadline(prog, events, cost,
-			sim.RobustConfig{CyclesPerTick: 1}, hooks(), sim.DefaultDeadlineFactor)
-		if err != nil {
+	nom, err := sim.RunNominal(prog, events, cost, sim.MarginConfig{
+		MK:     mk,
+		Seed:   seed,
+		Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline},
+		Hooks:  hooks,
+	})
+	if err != nil {
+		if deadline == 0 {
 			return nil, fmt.Errorf("modem: calibrating deadline: %w", err)
 		}
-	}
-	rm, err := sim.RunRobust(prog, events, cost,
-		sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline, MK: mk}, hooks())
-	if err != nil {
 		return nil, err
 	}
-	res := &TimingSafetyResult{MK: mk.String(), Deadline: deadline, Verdict: rm.Timing}
+	res := &TimingSafetyResult{MK: mk.String(), Deadline: nom.Deadline, Verdict: nom.Verdict}
 	for _, kind := range kinds {
-		om, err := sim.SearchOverloadMargin(prog, events, cost, sim.MarginConfig{
-			Kind:   kind,
-			MK:     mk,
-			Seed:   seed,
-			Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline},
-			Hooks:  hooks,
-		})
+		om, err := nom.SearchMargin(kind, 0)
 		if err != nil {
 			return nil, fmt.Errorf("modem: margin %s: %w", kind, err)
 		}

@@ -16,6 +16,10 @@ import (
 // index order and may return any of several valid schedules) becomes
 // isomorphism-invariant when run on the twin instead of the original.
 //
+// The twin's canonical form is set at build time to what refinement would
+// compute: the identity relabelling under n's hash. Hash-keyed caches
+// thus answer the twin from entries computed for n.
+//
 // The twin is rebuilt on each call; callers that need it repeatedly
 // should keep the returned net.
 func (n *Net) CanonicalNet() *Net {
@@ -50,5 +54,9 @@ func (n *Net) CanonicalNet() *Net {
 			b.WeightedArcTP(trans[pos], places[cf.PlacePos[a.Place]], a.Weight)
 		}
 	}
-	return b.Build()
+	twin := b.Build()
+	id := identityForm(len(cf.PlaceAt), len(cf.TransAt))
+	id.Hash = cf.Hash
+	twin.canonOnce.Do(func() { twin.canon = id })
+	return twin
 }

@@ -157,18 +157,7 @@ func (n *Net) computeCanonicalForm() *CanonicalForm {
 		classes = next
 	}
 
-	cf := &CanonicalForm{
-		PlaceAt:  make([]Place, nP),
-		TransAt:  make([]Transition, nT),
-		PlacePos: make([]int, nP),
-		TransPos: make([]int, nT),
-	}
-	for i := range cf.PlaceAt {
-		cf.PlaceAt[i] = Place(i)
-	}
-	for i := range cf.TransAt {
-		cf.TransAt[i] = Transition(i)
-	}
+	cf := identityForm(nP, nT)
 	// Canonical order: refined colour first, local index as the tie-break
 	// (ties are colour-equivalent nodes, interchangeable for all practical
 	// nets; a tie broken differently still yields a valid — merely
@@ -224,6 +213,24 @@ func (n *Net) computeCanonicalForm() *CanonicalForm {
 	}
 	sum := sha256.Sum256(buf)
 	cf.Hash = hex.EncodeToString(sum[:])
+	return cf
+}
+
+// identityForm is the identity relabelling of a net with nP places and
+// nT transitions, without a hash.
+func identityForm(nP, nT int) *CanonicalForm {
+	cf := &CanonicalForm{
+		PlaceAt:  make([]Place, nP),
+		TransAt:  make([]Transition, nT),
+		PlacePos: make([]int, nP),
+		TransPos: make([]int, nT),
+	}
+	for i := range cf.PlaceAt {
+		cf.PlaceAt[i], cf.PlacePos[i] = Place(i), i
+	}
+	for i := range cf.TransAt {
+		cf.TransAt[i], cf.TransPos[i] = Transition(i), i
+	}
 	return cf
 }
 

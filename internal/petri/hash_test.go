@@ -1,6 +1,9 @@
 package petri
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // fig3aLike builds the Figure-3a shape with controllable declaration order
 // and names so the canonical hash's invariance claims can be tested
@@ -120,6 +123,36 @@ func TestCanonicalFormIsDeterministic(t *testing.T) {
 	for i := range a.PlaceAt {
 		if a.PlaceAt[i] != b.PlaceAt[i] {
 			t.Fatal("place order not deterministic")
+		}
+	}
+}
+
+// TestCanonicalNetStampedForm pins the canonical form CanonicalNet stamps
+// on its twin: the parent's hash, the identity permutation, and exactly
+// what a from-scratch refinement of the twin computes.
+func TestCanonicalNetStampedForm(t *testing.T) {
+	for _, n := range []*Net{
+		fig3aLike(false, nil),
+		fig3aLike(true, func(s string) string { return "x_" + s }),
+	} {
+		twin := n.CanonicalNet()
+		got := twin.CanonicalForm()
+		if got.Hash != n.CanonicalHash() {
+			t.Fatalf("twin hash %s, parent %s", got.Hash, n.CanonicalHash())
+		}
+		for i := range got.PlaceAt {
+			if got.PlaceAt[i] != Place(i) || got.PlacePos[i] != i {
+				t.Fatalf("place permutation not the identity at %d", i)
+			}
+		}
+		for i := range got.TransAt {
+			if got.TransAt[i] != Transition(i) || got.TransPos[i] != i {
+				t.Fatalf("transition permutation not the identity at %d", i)
+			}
+		}
+		want := twin.computeCanonicalForm()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stamped form %+v, refinement computes %+v", got, want)
 		}
 	}
 }

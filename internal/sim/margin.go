@@ -31,17 +31,26 @@ const (
 	OverloadOverrun
 )
 
+// overloadKinds holds each kind's name and default search ceiling:
+// bursts deeper than 64 copies or overruns past 8x nominal are far
+// outside any sensible operating envelope, and drop is a percentage by
+// construction.
+var overloadKinds = [...]struct {
+	name    string
+	ceiling int
+}{
+	OverloadBurst:   {"burst", 64},
+	OverloadJitter:  {"jitter", 1 << 12},
+	OverloadDrop:    {"drop", 100},
+	OverloadOverrun: {"overrun", 700},
+}
+
+func (k OverloadKind) valid() bool { return k >= 0 && int(k) < len(overloadKinds) }
+
 // String names the kind as accepted by ParseOverloadKind.
 func (k OverloadKind) String() string {
-	switch k {
-	case OverloadBurst:
-		return "burst"
-	case OverloadJitter:
-		return "jitter"
-	case OverloadDrop:
-		return "drop"
-	case OverloadOverrun:
-		return "overrun"
+	if k.valid() {
+		return overloadKinds[k].name
 	}
 	return fmt.Sprintf("OverloadKind(%d)", int(k))
 }
@@ -49,34 +58,13 @@ func (k OverloadKind) String() string {
 // ParseOverloadKind parses an overload kind name (burst, jitter, drop,
 // overrun).
 func ParseOverloadKind(s string) (OverloadKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "burst":
-		return OverloadBurst, nil
-	case "jitter":
-		return OverloadJitter, nil
-	case "drop":
-		return OverloadDrop, nil
-	case "overrun":
-		return OverloadOverrun, nil
+	name := strings.ToLower(strings.TrimSpace(s))
+	for k := range overloadKinds {
+		if overloadKinds[k].name == name {
+			return OverloadKind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("sim: unknown overload kind %q (want burst, jitter, drop or overrun)", s)
-}
-
-// defaultCeiling bounds the search per kind: bursts deeper than 64 copies
-// or overruns past 8x nominal are far outside any sensible operating
-// envelope, and drop is a percentage by construction.
-func (k OverloadKind) defaultCeiling() int {
-	switch k {
-	case OverloadBurst:
-		return 64
-	case OverloadJitter:
-		return 1 << 12
-	case OverloadDrop:
-		return 100
-	case OverloadOverrun:
-		return 700
-	}
-	return 64
 }
 
 // DefaultDeadlineFactor is the calibration multiplier: when no deadline
@@ -128,104 +116,141 @@ func (om *OverloadMargin) String() string {
 	return fmt.Sprintf("%s deadline=%d %s", om.Kind, om.Deadline, om.Result)
 }
 
-// CalibrateDeadline derives a per-event response budget from the
-// fault-free run: factor times the nominal worst response, minimum one
-// cycle. It makes margins meaningful without hand-tuning a deadline per
-// net — level 0 always passes under the calibrated budget.
-func CalibrateDeadline(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks, factor int64) (int64, error) {
-	cfg.Deadline = 0
-	cfg.MK = timing.Constraint{}
-	cfg.Jitter = nil
-	rm, err := RunRobust(prog, events, cost, cfg, hooks)
-	if err != nil {
-		return 0, fmt.Errorf("sim: deadline calibration: %w", err)
-	}
-	d := factor * rm.ResponseMax
-	if d < 1 {
-		d = 1
-	}
-	return d, nil
+// Nominal is the fault-free run a timing check starts from, run once:
+// its worst response calibrates the deadline when none is configured,
+// its verdict is the nominal (m,k) verdict, and it answers level 0 of
+// every margin search, so searches taking p_i probes cost 1 + Σ(p_i − 1)
+// runs in all.
+type Nominal struct {
+	// Deadline is the per-event budget every run is judged by: the
+	// configured one, or DefaultDeadlineFactor x the worst response.
+	Deadline int64
+	// Verdict is the fault-free run's weakly-hard verdict.
+	Verdict *timing.Verdict
+
+	prog   *codegen.Program
+	events []rtos.Event
+	cost   rtos.CostModel
+	cfg    MarginConfig
 }
 
-// SearchOverloadMargin binary-searches the fault-injector intensity for
-// the highest level at which the weakly-hard constraint still holds:
-// the overload the implementation tolerates before its timing safety
-// breaks. Deterministic for a given (workload, seed, config); every
-// probe replays the same seeded injector at a different intensity.
-func SearchOverloadMargin(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) (*OverloadMargin, error) {
+// RunNominal runs the unperturbed workload once under cfg (cfg.Kind and
+// cfg.Ceiling are unused). With cfg.Robust.Deadline == 0 it runs without
+// a watchdog and calibrates the deadline from the worst response; the
+// verdict is still the calibrated budget's, since the watchdog only
+// judges responses and none exceeds DefaultDeadlineFactor times the
+// largest. A run that exhausts its step budget under a configured
+// deadline returns its violated verdict together with the error.
+func RunNominal(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) (*Nominal, error) {
 	if err := cfg.MK.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: margin search needs a valid (m,k) constraint: %w", err)
 	}
 	if cfg.Robust.Jitter != nil {
 		return nil, fmt.Errorf("sim: margin search owns RobustConfig.Jitter; configure OverloadOverrun instead")
 	}
-	ceiling := cfg.Ceiling
-	if ceiling <= 0 {
-		ceiling = cfg.Kind.defaultCeiling()
+	cfg.Robust.MK = cfg.MK
+	rm, err := RunRobust(prog, events, cost, cfg.Robust, cfg.hooks(prog))
+	if cfg.Robust.Deadline == 0 {
+		if err != nil {
+			return nil, fmt.Errorf("sim: deadline calibration: %w", err)
+		}
+		cfg.Robust.Deadline = max(DefaultDeadlineFactor*rm.ResponseMax, 1)
 	}
-	if cfg.Kind == OverloadDrop && ceiling > 100 {
+	v := verdictOf(rm, err)
+	if v == nil {
+		return nil, err
+	}
+	return &Nominal{Deadline: cfg.Robust.Deadline, Verdict: v, prog: prog, events: events, cost: cost, cfg: cfg}, err
+}
+
+// verdictOf is a run's verdict. A run that exhausted its step budget is
+// a system that cannot keep up: its verdict counts as violated. Nil for
+// any other failure.
+func verdictOf(rm *RobustMetrics, err error) *timing.Verdict {
+	if err == nil {
+		return rm.Timing
+	}
+	if !errors.Is(err, codegen.ErrBudgetExceeded) || rm == nil || rm.Timing == nil {
+		return nil
+	}
+	v := *rm.Timing
+	v.Satisfied = false
+	return &v
+}
+
+// CalibrateDeadline derives a per-event response budget from one
+// fault-free run: factor times the worst response, minimum one cycle.
+//
+// Deprecated: RunNominal calibrates in the run that yields the nominal
+// verdict; this stays only so existing callers still compile.
+func CalibrateDeadline(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks, factor int64) (int64, error) {
+	cfg.Deadline, cfg.MK, cfg.Jitter = 0, timing.Constraint{}, nil
+	rm, err := RunRobust(prog, events, cost, cfg, hooks)
+	if err != nil {
+		return 0, fmt.Errorf("sim: deadline calibration: %w", err)
+	}
+	return max(factor*rm.ResponseMax, 1), nil
+}
+
+// SearchOverloadMargin is the one-kind form of RunNominal followed by
+// Nominal.SearchMargin. A nominal run that ran out of step budget is
+// level 0 failed, not an error.
+func SearchOverloadMargin(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) (*OverloadMargin, error) {
+	nom, err := RunNominal(prog, events, cost, cfg)
+	if nom == nil {
+		return nil, err
+	}
+	return nom.SearchMargin(cfg.Kind, cfg.Ceiling)
+}
+
+// SearchMargin binary-searches the fault-injector intensity of kind for
+// the highest level at which the weakly-hard constraint still holds: the
+// overload the implementation tolerates before its timing safety breaks.
+// Level 0 is the nominal run; every other probe replays the same seeded
+// injector at its intensity, so the search is deterministic for a given
+// (workload, seed, config). ceiling <= 0 uses the kind's default.
+func (nom *Nominal) SearchMargin(kind OverloadKind, ceiling int) (*OverloadMargin, error) {
+	if !kind.valid() {
+		return nil, fmt.Errorf("sim: unknown overload kind %v", kind)
+	}
+	if ceiling <= 0 {
+		ceiling = overloadKinds[kind].ceiling
+	}
+	if kind == OverloadDrop && ceiling > 100 {
 		ceiling = 100
 	}
-
-	deadline := cfg.Robust.Deadline
-	if deadline == 0 {
-		var err error
-		deadline, err = CalibrateDeadline(prog, events, cost, cfg.Robust, cfg.hooks(prog), DefaultDeadlineFactor)
-		if err != nil {
-			return nil, err
-		}
-	}
-
+	cfg := nom.cfg
 	probe := func(level int) (*timing.Verdict, error) {
+		if level == 0 {
+			return nom.Verdict, nil
+		}
 		rcfg := cfg.Robust
-		rcfg.Deadline = deadline
-		rcfg.MK = cfg.MK
-		stream := events
-		switch cfg.Kind {
+		var inj fault.Injector
+		switch kind {
 		case OverloadBurst:
-			if level > 0 {
-				stream = fault.Scenario{
-					Name: "margin-burst", Seed: cfg.Seed,
-					Injectors: []fault.Injector{fault.Burst{Pct: 100, Extra: level, Source: fault.AnySource}},
-				}.Apply(events)
-			}
+			inj = fault.Burst{Pct: 100, Extra: level, Source: fault.AnySource}
 		case OverloadJitter:
-			if level > 0 {
-				stream = fault.Scenario{
-					Name: "margin-jitter", Seed: cfg.Seed,
-					Injectors: []fault.Injector{fault.JitterTicks{Window: int64(level), Source: fault.AnySource}},
-				}.Apply(events)
-			}
+			inj = fault.JitterTicks{Window: int64(level), Source: fault.AnySource}
 		case OverloadDrop:
-			if level > 0 {
-				stream = fault.Scenario{
-					Name: "margin-drop", Seed: cfg.Seed,
-					Injectors: []fault.Injector{fault.Drop{Pct: level, Source: fault.AnySource}},
-				}.Apply(events)
-			}
+			inj = fault.Drop{Pct: level, Source: fault.AnySource}
 		case OverloadOverrun:
 			rcfg.Jitter = &fault.CostJitter{Seed: cfg.Seed, MaxPct: level}
-		default:
-			return nil, fmt.Errorf("sim: unknown overload kind %v", cfg.Kind)
 		}
-		rm, err := RunRobust(prog, stream, cost, rcfg, cfg.hooks(prog))
-		if err != nil {
-			// A probe that exhausts its step budget is a system that cannot
-			// keep up with the injected overload: report it as a failed
-			// level, not a search abort.
-			if errors.Is(err, codegen.ErrBudgetExceeded) && rm != nil && rm.Timing != nil {
-				v := *rm.Timing
-				v.Satisfied = false
-				return &v, nil
-			}
-			return nil, fmt.Errorf("sim: margin probe level %d: %w", level, err)
+		stream := nom.events
+		if inj != nil {
+			stream = fault.Scenario{
+				Name: "margin-" + kind.String(), Seed: cfg.Seed, Injectors: []fault.Injector{inj},
+			}.Apply(nom.events)
 		}
-		return rm.Timing, nil
+		rm, err := RunRobust(nom.prog, stream, nom.cost, rcfg, cfg.hooks(nom.prog))
+		if v := verdictOf(rm, err); v != nil {
+			return v, nil
+		}
+		return nil, fmt.Errorf("sim: margin probe level %d: %w", level, err)
 	}
-
 	res, err := timing.SearchMargin(ceiling, probe)
 	if err != nil {
 		return nil, err
 	}
-	return &OverloadMargin{Kind: cfg.Kind.String(), Deadline: deadline, Result: res}, nil
+	return &OverloadMargin{Kind: kind.String(), Deadline: nom.Deadline, Result: res}, nil
 }
