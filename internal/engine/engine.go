@@ -107,7 +107,7 @@ type Engine struct {
 	tracer   *trace.Tracer // lifetime aggregate of every job's phases
 	start    time.Time
 
-	jobs      chan func()
+	jobs      chan job
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
@@ -183,7 +183,7 @@ func New(cfg Config) *Engine {
 		workers: workers,
 		tracer:  trace.New(),
 		start:   time.Now(),
-		jobs:    make(chan func()),
+		jobs:    make(chan job),
 	}
 	e.cache = newCache(cfg.CacheCapacity, &e.counters, e.tracer)
 	for i := 0; i < workers; i++ {
@@ -193,15 +193,23 @@ func New(cfg Config) *Engine {
 	return e
 }
 
+// job is one unit of pool work. done signals its completion to the
+// submitter; the worker calls it only after releasing its gauges, so a
+// caller woken by done never sees the job still counted busy.
+type job struct {
+	fn, done func()
+}
+
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	for fn := range e.jobs {
+	for j := range e.jobs {
 		e.counters.QueueDepth.Add(-1)
 		e.counters.BusyWorkers.Add(1)
 		t0 := time.Now()
-		fn()
+		j.fn()
 		e.counters.BusyNanos.Add(time.Since(t0).Nanoseconds())
 		e.counters.BusyWorkers.Add(-1)
+		j.done()
 	}
 }
 
@@ -301,22 +309,24 @@ func (e *Engine) QuarantinedHashes() []string {
 	return out
 }
 
-// submit schedules fn on the pool, or reports ErrEngineClosed.
-func (e *Engine) submit(fn func()) error {
+// submit schedules fn on the pool, or reports ErrEngineClosed. The
+// worker calls done once fn has returned and the worker's gauges are
+// released.
+func (e *Engine) submit(fn, done func()) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrEngineClosed
 	}
 	e.counters.ObserveQueueDepth(e.counters.QueueDepth.Add(1))
-	e.jobs <- fn
+	e.jobs <- job{fn: fn, done: done}
 	return nil
 }
 
 // run executes fn on the pool and waits for it.
 func (e *Engine) run(fn func()) error {
 	done := make(chan struct{})
-	if err := e.submit(func() { fn(); close(done) }); err != nil {
+	if err := e.submit(fn, func() { close(done) }); err != nil {
 		return err
 	}
 	<-done
@@ -368,7 +378,6 @@ func (e *Engine) AnalyzeEach(nets []*petri.Net, onDone func(i int, r Result)) er
 		i, n := i, n
 		wg.Add(1)
 		if err := e.submit(func() {
-			defer wg.Done()
 			r := e.analyzeJob(n)
 			// Free the slot before the callback: journal writes and other
 			// caller work must not throttle the pool.
@@ -376,7 +385,7 @@ func (e *Engine) AnalyzeEach(nets []*petri.Net, onDone func(i int, r Result)) er
 			e.onDoneMu.Lock()
 			defer e.onDoneMu.Unlock()
 			onDone(i, r)
-		}); err != nil {
+		}, wg.Done); err != nil {
 			<-slots
 			wg.Done()
 			wg.Wait()

@@ -59,8 +59,11 @@ func (r *Rand) Intn(n int) int {
 // Pct returns a value in [0, 100), for percentage draws.
 func (r *Rand) Pct() int { return r.Intn(100) }
 
-// Injector rewrites an event stream. Apply must not mutate its input and
-// must draw randomness only from r.
+// Injector rewrites an event stream. Apply must draw randomness only
+// from r, must not mutate its input, and must return a fresh slice that
+// shares no memory with it. Callers rely on this: Scenario.Apply hands
+// its caller's stream straight to the first injector, and sim.RunRobust
+// reads the (time-ordered) result in place.
 type Injector interface {
 	// Name identifies the injector in reports ("burst", "drop", ...).
 	Name() string
@@ -195,10 +198,17 @@ type Scenario struct {
 	Injectors []Injector
 }
 
-// Apply runs the scenario's injector chain over the stream.
+// Apply runs the scenario's injector chain over the stream and returns
+// a fresh slice; the input is never modified. It makes no copy of its
+// own when there are injectors: it relies on the Injector contract that
+// each returns a fresh slice and leaves its input alone. A scenario with
+// no injectors returns a copy of the input.
 func (s Scenario) Apply(events []rtos.Event) []rtos.Event {
+	if len(s.Injectors) == 0 {
+		return append([]rtos.Event(nil), events...)
+	}
 	r := NewRand(s.Seed)
-	out := append([]rtos.Event(nil), events...)
+	out := events
 	for _, inj := range s.Injectors {
 		out = inj.Apply(out, r)
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -43,6 +44,49 @@ func TestScenarioApplyDoesNotMutateInput(t *testing.T) {
 	if !reflect.DeepEqual(base, snapshot) {
 		t.Fatal("Apply mutated its input stream")
 	}
+}
+
+// TestInjectorsDoNotMutateInput pins the Injector contract that
+// Scenario.Apply relies on to skip its own copy: every injector, at
+// full and partial rates, leaves its input untouched and returns a slice
+// that shares no memory with it. Overwriting the whole result must not
+// show through in the input; the same holds for Scenario.Apply with and
+// without injectors.
+func TestInjectorsDoNotMutateInput(t *testing.T) {
+	a, b := petri.Transition(0), petri.Transition(1)
+	base := rtos.Merge(stream(a, 60), rtos.Periodic(b, 7, 2, 40))
+	snapshot := append([]rtos.Event(nil), base...)
+	injectors := []Injector{
+		Burst{Pct: 100, Extra: 2, Source: AnySource},
+		Burst{Pct: 40, Extra: 3, Source: a},
+		Burst{Pct: 0, Extra: 0, Source: AnySource},
+		Duplicate{Pct: 100, Source: AnySource},
+		Duplicate{Pct: 30, Source: b},
+		Drop{Pct: 0, Source: AnySource},
+		Drop{Pct: 50, Source: a},
+		JitterTicks{Window: 0, Source: AnySource},
+		JitterTicks{Window: 9, Source: AnySource},
+		JitterTicks{Window: 4, Source: b},
+	}
+	check := func(name string, out []rtos.Event) {
+		t.Helper()
+		if !reflect.DeepEqual(base, snapshot) {
+			t.Fatalf("%s mutated its input stream", name)
+		}
+		for i := range out {
+			out[i] = rtos.Event{Time: -1, Source: -1}
+		}
+		if !reflect.DeepEqual(base, snapshot) {
+			t.Fatalf("%s returned a slice sharing memory with its input", name)
+		}
+	}
+	for _, inj := range injectors {
+		check(fmt.Sprintf("%s %+v", inj.Name(), inj), inj.Apply(base, NewRand(17)))
+		sc := Scenario{Seed: 17, Injectors: []Injector{inj}}
+		check("scenario "+sc.Describe(), sc.Apply(base))
+	}
+	check("chained scenario", Scenario{Seed: 5, Injectors: injectors}.Apply(base))
+	check("empty scenario", Scenario{Seed: 5}.Apply(base))
 }
 
 func TestBurstAddsCopiesAtSameTime(t *testing.T) {

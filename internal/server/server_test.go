@@ -236,20 +236,27 @@ func TestServiceAdmissionControl(t *testing.T) {
 	block := make(chan struct{})
 	release := make(chan struct{})
 	var blocked bool
+	var claimed atomic.Bool
 	_, ts := newTestServer(t, Config{Engine: engine.Config{
 		Workers:      1,
 		SubmitWindow: 1,
 		FaultHook: func(ctx context.Context, hash string, attempt int) error {
 			// Block exactly the first job so the window stays full while
-			// the test probes; later jobs run free.
-			select {
-			case block <- struct{}{}:
-				<-release
-			default:
+			// the test probes; later jobs run free. The send waits for
+			// the test to receive; release also ends it if the test
+			// fails before receiving.
+			if claimed.CompareAndSwap(false, true) {
+				select {
+				case block <- struct{}{}:
+					<-release
+				case <-release:
+				}
 			}
 			return nil
 		},
 	}})
+	closeRelease := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(closeRelease)
 
 	slow := petri.Format(figures.Figure5())
 	fast := petri.Format(figures.Figure2())
@@ -274,7 +281,7 @@ func TestServiceAdmissionControl(t *testing.T) {
 		t.Fatalf("429 envelope missing retry hint: %+v", env)
 	}
 
-	close(release)
+	closeRelease()
 	first := <-done
 	if first.Status != "ok" || first.Cache != "miss" {
 		t.Fatalf("blocked job did not complete: %+v", first)

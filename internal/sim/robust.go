@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fcpn/internal/codegen"
 	"fcpn/internal/core"
@@ -27,7 +28,8 @@ type RobustConfig struct {
 	// CyclesPerTick converts workload timestamps into cycles (default 1).
 	CyclesPerTick int64
 	// Queue bounds event ingress; Capacity <= 0 keeps the idealised
-	// unbounded queue.
+	// unbounded queue, which stores nothing: its contents are the
+	// arrivals admitted but not yet served.
 	Queue rtos.QueueConfig
 	// Deadline, in cycles, is the watchdog's per-event response budget;
 	// 0 disables deadline accounting.
@@ -127,6 +129,10 @@ const defaultStepBudget = 1 << 26
 // optional deadline watchdog and per-dispatch cost jitter, verifying
 // observed per-place peaks against static buffer bounds.
 //
+// Events need not be time-ordered; an ordered stream is read in place
+// and an unordered one is stably sorted into a copy. The caller's slice
+// is never modified.
+//
 // When the step budget runs out, the metrics collected so far are
 // returned together with an error wrapping core.ErrBudgetExceeded.
 func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks) (*RobustMetrics, error) {
@@ -143,14 +149,27 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 		return rm, nil
 	}
 
-	ordered := append([]rtos.Event(nil), events...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Time < ordered[j].Time })
+	// A time-ordered stream (rtos.Merge and every fault.Injector yield
+	// one) is read in place; only an unordered one is copied and sorted.
+	ordered := events
+	byTime := func(a, b rtos.Event) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(events, byTime) {
+		ordered = slices.Clone(events)
+		slices.SortStableFunc(ordered, byTime)
+	}
 
 	in := codegen.NewInterp(prog, hooks.Resolver)
 	in.MaxOps = cfg.StepBudget
 	k := rtos.NewKernel(cost)
 	in.OnFire = fireHook(k, hooks)
-	k.Queue = rtos.NewEventQueue(cfg.Queue)
+	// An unbounded queue admits every arrival in order and serves FIFO,
+	// so its contents are always ordered[head:next]: the kernel gets no
+	// queue (Admit still charges the interrupt) and nothing is stored.
+	// Only a bounded queue, which holds at most Capacity events, is real.
+	if cfg.Queue.Capacity > 0 {
+		k.Queue = rtos.NewEventQueue(cfg.Queue)
+	}
+	head := 0 // unbounded queue: index of the oldest waiting arrival
 	if cfg.Deadline > 0 {
 		// The watchdog keeps one constraint window of hit/miss history so
 		// violated windows stay inspectable after the run.
@@ -174,14 +193,23 @@ serve:
 			k.Admit(ordered[next], ordered[next].Time*cfg.CyclesPerTick)
 			next++
 		}
-		if k.Queue.Len() == 0 {
+		var qe rtos.QueuedEvent
+		var waiting bool
+		switch {
+		case k.Queue != nil:
+			qe, waiting = k.Queue.Pop()
+		case head < next:
+			qe = rtos.QueuedEvent{Ev: ordered[head], Arrival: ordered[head].Time * cfg.CyclesPerTick}
+			head++
+			waiting = true
+		}
+		if !waiting {
 			if next >= len(ordered) {
 				break
 			}
 			clock = ordered[next].Time * cfg.CyclesPerTick // CPU idles
 			continue
 		}
-		qe, _ := k.Queue.Pop()
 		ev := qe.Ev
 		ti := prog.TaskBySource(ev.Source)
 		if ti < 0 {
@@ -246,18 +274,20 @@ serve:
 
 	m := metricsFrom(k, in, served)
 	lat.into(m)
-	m.DroppedEvents = k.Queue.Lost()
 	if k.Watch != nil {
 		m.DeadlineMisses = k.Watch.Misses
 	}
 	rm := &RobustMetrics{
-		Metrics:        *m,
-		RejectedEvents: k.Queue.Rejected,
-		ResponseMax:    respMax,
-		CPUBusy:        busy,
-		Makespan:       clock,
-		PeakCounters:   append([]int(nil), in.Stats.MaxCounters...),
-		Steps:          in.Stats.Ops,
+		Metrics:      *m,
+		ResponseMax:  respMax,
+		CPUBusy:      busy,
+		Makespan:     clock,
+		PeakCounters: append([]int(nil), in.Stats.MaxCounters...),
+		Steps:        in.Stats.Ops,
+	}
+	if k.Queue != nil {
+		rm.DroppedEvents = k.Queue.Lost()
+		rm.RejectedEvents = k.Queue.Rejected
 	}
 	if served > 0 {
 		rm.ResponseAvg = respSum / int64(served)
