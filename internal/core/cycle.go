@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"fcpn/internal/petri"
 )
@@ -25,18 +26,58 @@ var ErrCycleDeadlock = errors.New("core: deadlock while realising T-invariant")
 //
 // maxLen bounds the sequence length defensively.
 func FindCompleteCycle(n *petri.Net, counts []int, maxLen int) ([]petri.Transition, error) {
-	return findCompleteCycle(nil, n, counts, maxLen)
+	all := petri.NewNodeSet(n.NumPlaces())
+	for p := 0; p < n.NumPlaces(); p++ {
+		all.Add(p)
+	}
+	return findCompleteCycle(nil, n, n.Transitions(), all, counts, maxLen)
 }
 
-// findCompleteCycle is FindCompleteCycle with a cancellation context
-// (nil never cancels), checked once per greedy sweep so a deadline can
-// interrupt a realisation of up to maxLen (default 2^20) firings.
-func findCompleteCycle(ctx context.Context, n *petri.Net, counts []int, maxLen int) ([]petri.Transition, error) {
-	if len(counts) != n.NumTransitions() {
-		return nil, fmt.Errorf("core: counts length %d != %d transitions", len(counts), n.NumTransitions())
+// findCompleteCycle is the greedy search of FindCompleteCycle on the
+// subnet of n induced by the transitions local (ascending, which is the
+// subnet's transition order) and the places keptP, run on n itself: the
+// arcs from dropped places are ignored, and dropped places are never
+// read. counts and the remaining-firings vector are indexed like
+// local, and the sequence comes out in parent transitions. The
+// work is proportional to the kept transitions' arcs. Every error message
+// names subnet-local markings and counts, exactly as the search on the
+// materialised subnet would.
+//
+// ctx (nil never cancels) is checked once per greedy sweep so a deadline
+// can interrupt a realisation of up to maxLen (default 2^20) firings.
+func findCompleteCycle(ctx context.Context, n *petri.Net, local []petri.Transition, keptP petri.NodeSet, counts []int, maxLen int) ([]petri.Transition, error) {
+	if len(counts) != len(local) {
+		return nil, fmt.Errorf("core: counts length %d != %d transitions", len(counts), len(local))
 	}
-	if !n.IsConflictFree() {
-		return nil, errors.New("core: FindCompleteCycle requires a conflict-free net")
+	// One pooled scratch vector holds the marking m and the
+	// remaining-firings vector. m first counts each kept place's kept
+	// consumers — conflict-free means at most one — and then holds the
+	// marking.
+	buf := cycleScratch.Get().(*[]int)
+	defer cycleScratch.Put(buf)
+	if size := n.NumPlaces() + len(counts); cap(*buf) < size {
+		*buf = make([]int, size)
+	} else {
+		*buf = (*buf)[:size]
+		clear(*buf)
+	}
+	m, remaining := petri.Marking((*buf)[:n.NumPlaces()]), (*buf)[n.NumPlaces():]
+	// Firing updates every arc; a dropped place's count is never read
+	// back, since the enabling test skips dropped input places and only
+	// kept places are compared and reported. That test needs the bitset
+	// only when some kept transition reads a dropped place; mask stays nil
+	// otherwise, which is always so for a reduction of a free-choice net.
+	var mask petri.NodeSet
+	for _, t := range local {
+		for _, a := range n.Pre(t) {
+			if !keptP.Has(int(a.Place)) {
+				mask = keptP
+				continue
+			}
+			if m[a.Place]++; m[a.Place] > 1 {
+				return nil, errors.New("core: FindCompleteCycle requires a conflict-free net")
+			}
+		}
 	}
 	total := 0
 	for _, c := range counts {
@@ -48,33 +89,70 @@ func findCompleteCycle(ctx context.Context, n *petri.Net, counts []int, maxLen i
 	if total > maxLen {
 		return nil, fmt.Errorf("core: cycle of %d firings exceeds cap %d: %w", total, maxLen, ErrBudgetExceeded)
 	}
-	remaining := append([]int(nil), counts...)
-	m := n.InitialMarking()
+	for p := range m {
+		m[p] = n.InitialTokens(petri.Place(p))
+	}
+	copy(remaining, counts)
 	seq := make([]petri.Transition, 0, total)
 	for len(seq) < total {
 		if err := ctxErr(ctx); err != nil {
 			return nil, fmt.Errorf("cycle search interrupted after %d of %d firings: %w", len(seq), total, err)
 		}
 		fired := false
-		for t := petri.Transition(0); int(t) < n.NumTransitions(); t++ {
-			if remaining[t] == 0 || !n.Enabled(m, t) {
+		for i, t := range local {
+			if remaining[i] == 0 || !maskedEnabled(n, mask, m, t) {
 				continue
 			}
-			n.MustFire(m, t)
-			remaining[t]--
+			for _, a := range n.Pre(t) {
+				m[a.Place] -= a.Weight
+			}
+			for _, a := range n.Post(t) {
+				m[a.Place] += a.Weight
+			}
+			remaining[i]--
 			seq = append(seq, t)
 			fired = true
 		}
 		if !fired {
 			return nil, fmt.Errorf("%w: %d of %d firings done, stuck at %s with remaining %v",
-				ErrCycleDeadlock, len(seq), total, m, remaining)
+				ErrCycleDeadlock, len(seq), total, keptMarking(m, keptP), remaining)
 		}
 	}
-	if !m.Equal(n.InitialMarking()) {
-		return nil, fmt.Errorf("core: firing vector is not a T-invariant: final marking %s != initial %s",
-			m, n.InitialMarking())
+	for p, k := range m {
+		if k != n.InitialTokens(petri.Place(p)) && keptP.Has(p) {
+			return nil, fmt.Errorf("core: firing vector is not a T-invariant: final marking %s != initial %s",
+				keptMarking(m, keptP), keptMarking(n.InitialMarking(), keptP))
+		}
 	}
 	return seq, nil
+}
+
+// cycleScratch pools findCompleteCycle's marking and remaining-count
+// storage: a sweep runs one search per reduction, and neither vector
+// outlives the search.
+var cycleScratch = sync.Pool{New: func() any { return new([]int) }}
+
+// maskedEnabled reports whether t is enabled at m once its input arcs from
+// places outside mask are ignored; a nil mask ignores none.
+func maskedEnabled(n *petri.Net, mask petri.NodeSet, m petri.Marking, t petri.Transition) bool {
+	for _, a := range n.Pre(t) {
+		if m[a.Place] < a.Weight && (mask == nil || mask.Has(int(a.Place))) {
+			return false
+		}
+	}
+	return true
+}
+
+// keptMarking is m restricted to keptP: the subnet's marking, for error
+// messages only.
+func keptMarking(m petri.Marking, keptP petri.NodeSet) petri.Marking {
+	out := petri.Marking{}
+	for p, k := range m {
+		if keptP.Has(p) {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // VerifyCompleteCycle replays seq on the net from the initial marking and

@@ -40,12 +40,21 @@ func (s *Schedule) Export() *ScheduleExport {
 		AllocationsSaturated: s.AllocationCountSaturated,
 	}
 	for _, c := range s.Cycles {
-		ce := CycleExport{
-			Choices:  map[string]string{},
-			Sequence: s.Net.SequenceNames(c.Sequence),
-			Counts:   map[string]int{},
-		}
 		alloc := c.Reduction.Allocation
+		choices, fired := 0, 0
+		for _, cluster := range alloc.Clusters {
+			choices += len(cluster.Places)
+		}
+		for _, k := range c.Counts {
+			if k > 0 {
+				fired++
+			}
+		}
+		ce := CycleExport{
+			Choices:  make(map[string]string, choices),
+			Sequence: s.Net.SequenceNames(c.Sequence),
+			Counts:   make(map[string]int, fired),
+		}
 		for i, cluster := range alloc.Clusters {
 			for _, p := range cluster.Places {
 				ce.Choices[s.Net.PlaceName(p)] = s.Net.TransitionName(alloc.Chosen[i])

@@ -15,7 +15,9 @@ import (
 // net plus the removal log in (opcode, node) form. The induced subnet Net —
 // name lookups, string keys, arc-by-arc Builder calls — is materialised
 // lazily by Subnet(): the enumeration loop builds thousands of reductions
-// per solve and only the distinct ones ever need a materialised Net.
+// per solve, and the Definition 3.5 check runs on the parent plus the
+// bitsets, so only an inexact semiflow restriction or an explicit caller
+// ever needs a materialised Net.
 type Reduction struct {
 	// Allocation is the choice resolution this reduction corresponds to.
 	Allocation *Allocation
@@ -53,10 +55,16 @@ const (
 // lifetime (safe for concurrent use).
 func (r *Reduction) Subnet() *petri.Subnet {
 	r.subOnce.Do(func() {
-		r.sub = r.net.InducedSubnet(r.net.Name()+"/"+r.Allocation.describe(r.net),
-			r.KeptTransitions(), r.KeptPlaces())
+		r.sub = r.net.InducedSubnet(r.subnetName(), r.KeptTransitions(), r.KeptPlaces())
 	})
 	return r.sub
+}
+
+// subnetName is the materialised subnet's name, "net/p→t, …": the parent's
+// name and the allocation's choices. The Definition 3.5 check builds it
+// only for a failure message.
+func (r *Reduction) subnetName() string {
+	return r.net.Name() + "/" + r.Allocation.describe(r.net)
 }
 
 // Steps renders the removal trace performed by the reduction algorithm, in

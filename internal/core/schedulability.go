@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"fcpn/internal/invariant"
@@ -58,7 +59,7 @@ func CheckReduction(n *petri.Net, red *Reduction, opt Options) *ReductionReport 
 // check. The zero value means "from scratch" — exactly CheckReduction.
 type checkAids struct {
 	// parentTIs are the parent net's minimal T-semiflows; when haveParent
-	// is set the check first derives the subnet's invariants by exact
+	// is set the check first derives the reduction's invariants by exact
 	// restriction (invariant.RestrictTInvariants), falling back to the
 	// from-scratch Farkas run when the reduction's shape makes restriction
 	// inexact.
@@ -66,14 +67,15 @@ type checkAids struct {
 	haveParent bool
 }
 
-// subnetInvariants resolves a reduction's minimal T-semiflows by exact
-// restriction of the parent's when the sweep shares them, or from scratch.
-// Both produce identical output (the byte-identity invariant of the
-// sweep); the core/semiflow/* counters record which path ran so the
-// restriction fallback rate stays visible in traces.
-func subnetInvariants(n *petri.Net, red *Reduction, opt Options, aids checkAids) ([]invariant.TInvariant, error) {
+// reductionInvariants resolves a reduction's minimal T-semiflows, indexed
+// like local, by exact restriction of the parent's when the sweep shares
+// them, or from scratch on the materialised subnet. Both produce identical
+// output (the byte-identity invariant of the sweep); the core/semiflow/*
+// counters record which path ran so the restriction fallback rate stays
+// visible in traces.
+func reductionInvariants(n *petri.Net, red *Reduction, local []petri.Transition, opt Options, aids checkAids) ([]invariant.TInvariant, error) {
 	if aids.haveParent {
-		if tis, ok := invariant.RestrictTInvariants(n, red.Subnet(), aids.parentTIs); ok {
+		if tis, ok := invariant.RestrictTInvariants(n, red.keptT, red.keptP, local, aids.parentTIs); ok {
 			opt.Trace.Add("core/semiflow/restricted", 1)
 			return tis, nil
 		}
@@ -88,22 +90,27 @@ func subnetInvariants(n *petri.Net, red *Reduction, opt Options, aids checkAids)
 	return invariant.TInvariants(red.Subnet().Net, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
 }
 
+// checkReduction runs Definition 3.5 on the parent net n through the
+// reduction's kept-node bitsets. local, the kept transitions in parent
+// order, is the subnet's transition order, so the report's invariants and
+// counts carry the same reduction-local indices as a check on the
+// materialised subnet would. The subnet is materialised only when Farkas
+// must run on it: the restriction is inexact, or the sweep shares no
+// parent semiflows (the KeepDuplicateReductions ablation).
 func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *ReductionReport {
 	report := &ReductionReport{Reduction: red}
 
 	// Deadline checkpoint: once the job is cancelled the remaining checks
-	// of the sweep degrade to stubs — before the subnet is even
-	// materialised; SolveReductions surfaces the cancellation instead of
-	// any stub verdict.
+	// of the sweep degrade to stubs; SolveReductions surfaces the
+	// cancellation instead of any stub verdict.
 	if err := opt.cancelled(); err != nil {
 		report.FailReason = err.Error()
 		report.Cause = err
 		return report
 	}
-	rsub := red.Subnet()
-	sub := rsub.Net
+	local := red.KeptTransitions()
 
-	tis, err := subnetInvariants(n, red, opt, aids)
+	tis, err := reductionInvariants(n, red, local, opt, aids)
 	if err != nil {
 		report.FailReason = fmt.Sprintf("invariant computation failed: %v", err)
 		report.Cause = err
@@ -112,30 +119,21 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	report.Invariants = tis
 
 	// (1) Consistency of the reduction.
-	for _, t := range invariant.UncoveredTransitions(sub, tis) {
-		report.Uncovered = append(report.Uncovered, rsub.ToParentTransition(t))
+	for _, lt := range invariant.UncoveredTransitions(len(local), tis) {
+		report.Uncovered = append(report.Uncovered, local[lt])
 	}
-	report.Consistent = len(report.Uncovered) == 0 && sub.NumTransitions() > 0
+	report.Consistent = len(report.Uncovered) == 0 && len(local) > 0
 
 	// (2) Every surviving source transition of N in some invariant.
 	report.SourcesCovered = true
-	for _, src := range n.SourceTransitions() {
-		st, kept := rsub.FromParentTransition(src)
-		if !kept {
-			// The reduction algorithm never removes sources; a missing
-			// source would be a structural anomaly worth reporting.
-			report.SourcesCovered = false
-			report.MissingSources = append(report.MissingSources, src)
+	for t := 0; t < n.NumTransitions(); t++ {
+		src := petri.Transition(t)
+		if len(n.Pre(src)) != 0 {
 			continue
 		}
-		found := false
-		for _, ti := range tis {
-			if ti.Contains(st) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		// The reduction algorithm never removes sources; a missing source
+		// would be a structural anomaly worth reporting.
+		if lt, kept := slices.BinarySearch(local, src); !kept || !inSomeInvariant(tis, petri.Transition(lt)) {
 			report.SourcesCovered = false
 			report.MissingSources = append(report.MissingSources, src)
 		}
@@ -143,12 +141,12 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 
 	if !report.Consistent {
 		report.FailReason = fmt.Sprintf("T-reduction %q is not consistent: transitions %s are in no T-invariant",
-			sub.Name(), transitionNames(n, report.Uncovered))
+			red.subnetName(), transitionNames(n, report.Uncovered))
 		return report
 	}
 	if !report.SourcesCovered {
 		report.FailReason = fmt.Sprintf("T-reduction %q covers no T-invariant for source transitions %s",
-			sub.Name(), transitionNames(n, report.MissingSources))
+			red.subnetName(), transitionNames(n, report.MissingSources))
 		return report
 	}
 
@@ -160,29 +158,30 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	// count vector to the cycle search — findCompleteCycle only certifies
 	// the counts it is given, so a partial vector could otherwise yield a
 	// "schedulable" verdict from a cycle missing transitions.
-	counts, uncoveredByGreedy := coveringCombination(tis, sub.NumTransitions())
+	counts, uncoveredByGreedy := coveringCombination(tis, len(local))
 	if len(uncoveredByGreedy) > 0 {
-		for _, t := range uncoveredByGreedy {
-			report.Uncovered = append(report.Uncovered, rsub.ToParentTransition(t))
+		for _, lt := range uncoveredByGreedy {
+			report.Uncovered = append(report.Uncovered, local[lt])
 		}
 		report.FailReason = fmt.Sprintf("T-reduction %q has no covering T-invariant combination: transitions %s stay uncovered",
-			sub.Name(), transitionNames(n, report.Uncovered))
+			red.subnetName(), transitionNames(n, report.Uncovered))
 		report.Cause = ErrIncompleteCover
 		return report
 	}
 	report.CoveringCounts = counts
 
 	// (3) Deadlock-free simulation realising the covering counts and
-	// returning to the initial marking.
+	// returning to the initial marking, on the parent with the arcs from
+	// dropped places ignored; the sequence is already in parent transitions.
 	sp := opt.Trace.StartDetail("core/cycle")
-	seq, simErr := findCompleteCycle(opt.Ctx, sub, report.CoveringCounts, opt.maxCycleLength())
+	seq, simErr := findCompleteCycle(opt.Ctx, n, local, red.keptP, report.CoveringCounts, opt.maxCycleLength())
 	sp.End()
 	if simErr != nil {
-		report.FailReason = fmt.Sprintf("T-reduction %q deadlocks: %v", sub.Name(), simErr)
+		report.FailReason = fmt.Sprintf("T-reduction %q deadlocks: %v", red.subnetName(), simErr)
 		report.Cause = simErr
 		return report
 	}
-	report.Cycle = rsub.MapSequenceToParent(seq)
+	report.Cycle = seq
 	report.Schedulable = true
 	return report
 }
@@ -236,6 +235,16 @@ func coveringCombination(tis []invariant.TInvariant, numT int) (counts []int, un
 		}
 	}
 	return counts, nil
+}
+
+// inSomeInvariant reports whether transition t fires in one of tis.
+func inSomeInvariant(tis []invariant.TInvariant, t petri.Transition) bool {
+	for _, ti := range tis {
+		if ti.Contains(t) {
+			return true
+		}
+	}
+	return false
 }
 
 func transitionNames(n *petri.Net, ts []petri.Transition) string {

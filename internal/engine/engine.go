@@ -547,11 +547,14 @@ func twinReductions(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, 
 func toCachedSchedule(cf *petri.CanonicalForm, s *core.Schedule) *cachedSchedule {
 	cs := &cachedSchedule{cycles: make([]cachedCycle, len(s.Cycles))}
 	for i, cyc := range s.Cycles {
+		alloc := cyc.Reduction.Allocation
 		cc := cachedCycle{seq: make([]int, len(cyc.Sequence))}
 		for j, t := range cyc.Sequence {
 			cc.seq[j] = cf.TransPos[t]
 		}
-		alloc := cyc.Reduction.Allocation
+		if len(alloc.Clusters) > 0 {
+			cc.choices = make([][2]int, 0, len(alloc.Clusters))
+		}
 		for k, cluster := range alloc.Clusters {
 			rep := cf.PlacePos[cluster.Places[0]]
 			for _, p := range cluster.Places[1:] {

@@ -3,7 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // schedCacheVersion tags the wire format of the schedule layer's cache
@@ -32,26 +32,25 @@ func schedKey(hash string) string {
 func encodeSchedule(cs *cachedSchedule) []byte {
 	buf := []byte{schedCacheVersion}
 	buf = binary.AppendUvarint(buf, uint64(len(cs.cycles)))
+	var kept []int
 	for _, cc := range cs.cycles {
-		kept := keptSet(cc)
-		keptIdx := make(map[int]int, len(kept))
+		kept = keptSet(kept, cc)
 		buf = binary.AppendUvarint(buf, uint64(len(kept)))
 		prev := 0
-		for i, pos := range kept {
+		for _, pos := range kept {
 			buf = binary.AppendUvarint(buf, uint64(pos-prev))
 			prev = pos
-			keptIdx[pos] = i
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(cc.seq)))
 		for _, pos := range cc.seq {
-			buf = binary.AppendUvarint(buf, uint64(keptIdx[pos]))
+			buf = binary.AppendUvarint(buf, uint64(keptIndex(kept, pos)))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(cc.choices)))
 		prev = 0
 		for _, pair := range cc.choices {
 			buf = binary.AppendUvarint(buf, uint64(pair[0]-prev))
 			prev = pair[0]
-			buf = binary.AppendUvarint(buf, uint64(keptIdx[pair[1]]))
+			buf = binary.AppendUvarint(buf, uint64(keptIndex(kept, pair[1])))
 		}
 	}
 	return buf
@@ -61,21 +60,20 @@ func encodeSchedule(cs *cachedSchedule) []byte {
 // cycle references: its firing sequence plus every chosen transition.
 // The chosen transitions are normally a subset of the sequence (the
 // covering T-invariant fires every kept transition), but the union keeps
-// the codec correct for any payload.
-func keptSet(cc cachedCycle) []int {
-	seen := map[int]bool{}
-	for _, pos := range cc.seq {
-		seen[pos] = true
-	}
+// the codec correct for any payload. The result reuses buf's storage.
+func keptSet(buf []int, cc cachedCycle) []int {
+	kept := append(buf[:0], cc.seq...)
 	for _, pair := range cc.choices {
-		seen[pair[1]] = true
+		kept = append(kept, pair[1])
 	}
-	kept := make([]int, 0, len(seen))
-	for pos := range seen {
-		kept = append(kept, pos)
-	}
-	sort.Ints(kept)
-	return kept
+	slices.Sort(kept)
+	return slices.Compact(kept)
+}
+
+// keptIndex is pos's index in the kept set, which holds it.
+func keptIndex(kept []int, pos int) int {
+	i, _ := slices.BinarySearch(kept, pos)
+	return i
 }
 
 // decodeSchedule parses an encodeSchedule payload, validating the
@@ -97,13 +95,23 @@ func decodeSchedule(data []byte) (*cachedSchedule, error) {
 		data = data[n:]
 		return int(v), nil
 	}
-	nCycles, err := next()
+	// count reads a length prefix whose entries take at least minBytes
+	// each, so a corrupt count larger than the rest of the payload is
+	// refused before anything is allocated for it.
+	count := func(minBytes int) (int, error) {
+		c, err := next()
+		if err == nil && c > len(data)/minBytes {
+			err = fmt.Errorf("engine: schedule payload count %d exceeds its %d remaining bytes", c, len(data))
+		}
+		return c, err
+	}
+	nCycles, err := count(3)
 	if err != nil {
 		return nil, err
 	}
 	cs := &cachedSchedule{cycles: make([]cachedCycle, nCycles)}
 	for i := 0; i < nCycles; i++ {
-		nKept, err := next()
+		nKept, err := count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +125,7 @@ func decodeSchedule(data []byte) (*cachedSchedule, error) {
 			pos += gap
 			kept[k] = pos
 		}
-		nSeq, err := next()
+		nSeq, err := count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -132,9 +140,12 @@ func decodeSchedule(data []byte) (*cachedSchedule, error) {
 			}
 			cc.seq[j] = kept[idx]
 		}
-		nChoices, err := next()
+		nChoices, err := count(2)
 		if err != nil {
 			return nil, err
+		}
+		if nChoices > 0 {
+			cc.choices = make([][2]int, 0, nChoices)
 		}
 		pos = 0
 		for k := 0; k < nChoices; k++ {

@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"fcpn/internal/core"
 	"fcpn/internal/engine/stats"
+	"fcpn/internal/figures"
+	"fcpn/internal/netgen"
+	"fcpn/internal/petri"
 	"fcpn/internal/trace"
 )
 
@@ -79,6 +86,16 @@ func TestSchedCodecRejectsBadPayloads(t *testing.T) {
 	if _, err := decodeSchedule(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// A corrupt length prefix must be refused, not allocated: a huge
+	// cycle count, and a huge choice count inside the good payload's cycle.
+	huge := binary.AppendUvarint([]byte{schedCacheVersion}, 1<<40)
+	if _, err := decodeSchedule(huge); err == nil {
+		t.Fatal("cycle count beyond the payload accepted")
+	}
+	hugeChoices := binary.AppendUvarint(append([]byte(nil), good[:len(good)-3]...), 1<<40)
+	if _, err := decodeSchedule(append(hugeChoices, good[len(good)-2:]...)); err == nil {
+		t.Fatal("choice count beyond the payload accepted")
+	}
 }
 
 // TestSchedKeyStaysInSchedLayer pins the versioned key to the "sched"
@@ -92,5 +109,35 @@ func TestSchedKeyStaysInSchedLayer(t *testing.T) {
 	}
 	if got := tr.Report().Counter("cache/sched/miss"); got != 1 {
 		t.Fatalf("cache/sched/miss = %d, want 1", got)
+	}
+}
+
+// TestScheduleCodecGolden pins encodeSchedule's bytes for the schedules
+// the cache's miss path stores: Figures 4 and 5 and one netgen choice net
+// (six cycles, twelve choices). The hex strings were produced by the
+// map-based encoder the current one replaced; any change to them is a
+// wire-format change and must bump schedCacheVersion.
+func TestScheduleCodecGolden(t *testing.T) {
+	choice := netgen.Config{MaxSources: 4, MaxDepth: 5, MaxBranch: 3, MaxWeight: 3, ChoicePct: 50, MultiratePct: 30}
+	for _, tc := range []struct {
+		net  *petri.Net
+		want string
+	}{
+		{figures.Figure4(), "020203000201050002000201010202030001030400020101010202"},
+		{figures.Figure5(), "02020700030101010101080304060001020502010500060101030101010b0203050104000400040404010501"},
+		{netgen.RandomSchedulablePipeline(1006, choice), "0206050001010203050001020403020102010305000101030205000102040302010201030500010104010500010204030201020103050001020103050001020403020102010305000102020205000102040302010201030500010203010500010204030201020103"},
+	} {
+		cf := tc.net.CanonicalForm()
+		_, tw, err := twinReductions(context.Background(), tc.net, cf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.SolveReductions(tw.net, tw.reds, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(encodeSchedule(toCachedSchedule(tw.net.CanonicalForm(), s))); got != tc.want {
+			t.Errorf("%s: payload\n got %s\nwant %s", tc.net.Name(), got, tc.want)
+		}
 	}
 }

@@ -13,6 +13,7 @@ package invariant
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fcpn/internal/linalg"
@@ -194,10 +195,11 @@ func Conservative(n *petri.Net, pis []PInvariant) bool {
 	return n.NumPlaces() > 0
 }
 
-// UncoveredTransitions lists the transitions not contained in any of the
-// given T-invariants: the witnesses of inconsistency.
-func UncoveredTransitions(n *petri.Net, tis []TInvariant) []petri.Transition {
-	covered := make([]bool, n.NumTransitions())
+// UncoveredTransitions lists the transitions 0..numT-1 not contained in
+// any of the given T-invariants over numT transitions: the witnesses of
+// inconsistency.
+func UncoveredTransitions(numT int, tis []TInvariant) []petri.Transition {
+	covered := make([]bool, numT)
 	for _, ti := range tis {
 		for t, c := range ti.Counts {
 			if c > 0 {
@@ -234,7 +236,15 @@ func IsTInvariant(n *petri.Net, counts []int) bool {
 }
 
 func sortTInvariants(tis []TInvariant) {
-	sort.Slice(tis, func(i, j int) bool { return lessInts(tis[i].Counts, tis[j].Counts) })
+	slices.SortFunc(tis, func(a, b TInvariant) int {
+		switch {
+		case lessInts(a.Counts, b.Counts):
+			return -1
+		case lessInts(b.Counts, a.Counts):
+			return 1
+		}
+		return 0
+	})
 }
 
 func lessInts(a, b []int) bool {

@@ -115,7 +115,7 @@ func TestInconsistentNet(t *testing.T) {
 	if Consistent(n, tis) {
 		t.Fatal("net must be inconsistent")
 	}
-	un := UncoveredTransitions(n, tis)
+	un := UncoveredTransitions(n.NumTransitions(), tis)
 	if len(un) != 1 || un[0] != tr {
 		t.Fatalf("UncoveredTransitions = %v", un)
 	}

@@ -30,6 +30,20 @@ func adjacentPlaces(n *petri.Net, keepT []petri.Transition) []petri.Place {
 	return out
 }
 
+// restrict runs RestrictTInvariants on the subnet of n induced by keepT
+// (ascending) and keepP, handing it the kept-node bitsets and the local
+// index table the way the schedulability check does.
+func restrict(n *petri.Net, keepT []petri.Transition, keepP []petri.Place, parentTIs []TInvariant) ([]TInvariant, bool) {
+	keptT, keptP := petri.NewNodeSet(n.NumTransitions()), petri.NewNodeSet(n.NumPlaces())
+	for _, t := range keepT {
+		keptT.Add(int(t))
+	}
+	for _, p := range keepP {
+		keptP.Add(int(p))
+	}
+	return RestrictTInvariants(n, keptT, keptP, keepT, parentTIs)
+}
+
 // checkRestriction builds the induced subnet, derives its invariants by
 // restriction and differentially compares against a from-scratch Farkas
 // run whenever the restriction claims exactness.
@@ -39,12 +53,11 @@ func checkRestriction(t *testing.T, n *petri.Net, keepT []petri.Transition, keep
 	if err != nil {
 		return false
 	}
-	sub := n.InducedSubnet("sub", keepT, keepP)
-	got, ok := RestrictTInvariants(n, sub, parentTIs)
+	got, ok := restrict(n, keepT, keepP, parentTIs)
 	if !ok {
 		return false
 	}
-	want, err := TInvariants(sub.Net, Options{})
+	want, err := TInvariants(n.InducedSubnet("sub", keepT, keepP).Net, Options{})
 	if err != nil {
 		t.Fatalf("from-scratch invariants failed on restrictable subnet: %v", err)
 	}
@@ -87,9 +100,14 @@ func TestRestrictTInvariantsRefusesDroppedAdjacentPlace(t *testing.T) {
 	b.ArcTP(t1, p)
 	b.Arc(p, t2)
 	n := b.Build()
-	sub := n.InducedSubnet("cut", []petri.Transition{t1, t2}, nil)
-	if _, ok := RestrictTInvariants(n, sub, nil); ok {
+	if _, ok := restrict(n, []petri.Transition{t1, t2}, nil, nil); ok {
 		t.Fatal("restriction accepted a subnet that dropped an adjacent place")
+	}
+	// Keeping only the producer t1 without p: p is adjacent through t1's
+	// postset alone, and the subnet gains the semiflow [1] that no parent
+	// semiflow restricts to.
+	if _, ok := restrict(n, []petri.Transition{t1}, nil, nil); ok {
+		t.Fatal("restriction accepted a subnet that dropped an output place of a kept transition")
 	}
 }
 
@@ -140,26 +158,29 @@ func FuzzRestrictTInvariants(f *testing.F) {
 			}
 			// Variant 1: adjacency-closed place set — must be exact.
 			adj := adjacentPlaces(n, keepT)
-			sub := n.InducedSubnet("adj", keepT, adj)
-			got, ok := RestrictTInvariants(n, sub, parentTIs)
+			got, ok := restrict(n, keepT, adj, parentTIs)
 			if !ok {
 				t.Fatalf("seed=%d: adjacency-closed subnet refused", seed)
 			}
-			want, err := TInvariants(sub.Net, Options{})
+			want, err := TInvariants(n.InducedSubnet("adj", keepT, adj).Net, Options{})
 			if err == nil && !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed=%d tMask=%x: restricted %v != scratch %v", seed, tMask, got, want)
 			}
 			// Variant 2: drop some adjacent places — restriction must
-			// either refuse or still agree with the reference.
+			// refuse once any is dropped, and otherwise still agree with
+			// the reference.
 			var cut []petri.Place
 			for i, p := range adj {
 				if pDrop&(1<<(uint(i)%64)) == 0 {
 					cut = append(cut, p)
 				}
 			}
-			sub2 := n.InducedSubnet("cut", keepT, cut)
-			if got2, ok := RestrictTInvariants(n, sub2, parentTIs); ok {
-				want2, err := TInvariants(sub2.Net, Options{})
+			if got2, ok := restrict(n, keepT, cut, parentTIs); ok {
+				if len(cut) < len(adj) {
+					t.Fatalf("seed=%d pDrop=%x: restriction accepted a place set missing %d adjacent places",
+						seed, pDrop, len(adj)-len(cut))
+				}
+				want2, err := TInvariants(n.InducedSubnet("cut", keepT, cut).Net, Options{})
 				if err == nil && !reflect.DeepEqual(got2, want2) {
 					t.Fatalf("seed=%d pDrop=%x: claimed-exact restriction diverges: %v != %v",
 						seed, pDrop, got2, want2)

@@ -134,6 +134,9 @@ func (n *Net) Consumers(p Place) []TArc { return n.placeOut[p] }
 // InitialMarking returns a copy of the net's initial marking μ0.
 func (n *Net) InitialMarking() Marking { return n.initialMark.Clone() }
 
+// InitialTokens returns μ0(p) without copying the marking.
+func (n *Net) InitialTokens(p Place) int { return n.initialMark[p] }
+
 // Weight reports F(p,t), the weight of the arc from place p to transition
 // t, or zero when no such arc exists.
 func (n *Net) Weight(p Place, t Transition) int {
